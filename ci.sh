@@ -147,12 +147,13 @@ git diff --exit-code -- docs/METRICS.md || {
 }
 
 echo "== serve smoke (daemon round-trip + kill-and-restart resume)"
-# Exercises the job service across a real process boundary: submit an
-# mbe campaign, watch it to completion, and require the result document
-# to be byte-identical to a direct `campaign --json` run of the same
-# spec. Then interrupt a second job with a graceful shutdown, restart
-# the daemon on the same data dir, and require the resumed job to merge
-# to the same bytes as its own direct run.
+# Exercises the job service across a real process boundary: submit
+# mbe, montecarlo and parity1d campaigns, watch them to completion, and
+# require each result document to be byte-identical to a direct
+# `campaign --json` run of the same spec. Then interrupt a sleep job
+# with a graceful shutdown, restart the daemon on the same data dir, and
+# require the resumed job to merge to the same bytes as its own direct
+# run.
 CLI=target/release/cppc-cli
 SERVE_TMP="$(mktemp -d)"
 SOCK="$SERVE_TMP/d.sock"
@@ -170,6 +171,20 @@ JOB=$("$CLI" submit --socket "$SOCK" --kind mbe \
 cmp "$SERVE_TMP/served.json" "$SERVE_TMP/direct.json" || {
     echo "service result diverged from direct campaign run" >&2; exit 1
 }
+# The same gate for the Monte Carlo document (the only non-tally
+# result) and for a non-CPPC scheme.
+for SPEC in "--kind montecarlo --trials 3000 --rate 30 --domains 4 --tavg 0.002" \
+            "--scheme parity1d --trials 300"; do
+    # shellcheck disable=SC2086  # SPEC is a word list on purpose
+    "$CLI" submit --socket "$SOCK" --watch $SPEC --seed 4242 --shard-size 64 \
+        > "$SERVE_TMP/served.json" 2> /dev/null
+    # shellcheck disable=SC2086
+    "$CLI" campaign $SPEC --seed 4242 --shard-size 64 --json \
+        > "$SERVE_TMP/direct.json" 2> /dev/null
+    cmp "$SERVE_TMP/served.json" "$SERVE_TMP/direct.json" || {
+        echo "service result diverged from direct campaign run ($SPEC)" >&2; exit 1
+    }
+done
 # Kill-and-restart: a slow job suspended by a graceful shutdown must
 # resume on restart and still match its direct run bit for bit.
 JOB2=$("$CLI" submit --socket "$SOCK" --kind sleep --sleep-ms 20 \

@@ -375,9 +375,13 @@ where
     )
 }
 
-/// [`run_with_progress`] with an explicit [`TrialExec`] range executor.
-pub fn run_with_progress_exec<A, E, P>(
+/// [`run_with_progress`] with an explicit [`TrialExec`] range executor
+/// and a cooperative interrupt flag: once `interrupt` is set, workers
+/// stop taking new shards and the report covers the shards completed
+/// so far (nothing is checkpointed).
+pub fn run_interruptible_exec<A, E, P>(
     cfg: &CampaignConfig,
+    interrupt: Option<&AtomicBool>,
     exec: E,
     mut on_progress: P,
 ) -> CampaignReport<A>
@@ -386,7 +390,7 @@ where
     E: TrialExec<A>,
     P: FnMut(&Progress),
 {
-    run_impl(cfg, &exec, Vec::new(), None, None, &mut on_progress)
+    run_impl(cfg, &exec, Vec::new(), None, interrupt, &mut on_progress)
 }
 
 /// Runs a campaign with checkpoint/resume.

@@ -150,11 +150,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on malformed input.
+    /// Returns a human-readable message on malformed input, including
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -184,9 +186,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps hostile input
+/// (a wire request, a tampered journal or checkpoint) from overflowing
+/// the stack; every document the workspace writes nests a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -228,11 +237,25 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -447,6 +470,19 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the bound, unterminated: an error, not a stack
+        // overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

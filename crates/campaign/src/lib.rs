@@ -60,8 +60,8 @@ pub mod snapshot;
 
 pub use checkpoint::{CampaignIdentity, CheckpointError, Persist};
 pub use engine::{
-    run, run_exec, run_resumable, run_resumable_exec, run_resumable_interruptible,
-    run_resumable_interruptible_exec, run_with_progress, run_with_progress_exec, trial_rng,
+    run, run_exec, run_interruptible_exec, run_resumable, run_resumable_exec,
+    run_resumable_interruptible, run_resumable_interruptible_exec, run_with_progress, trial_rng,
     trial_seed, Accumulator, CampaignConfig, CampaignReport, CheckpointPolicy, FailedShard,
     PerTrial, TrialExec, DEFAULT_SHARD_SIZE,
 };

@@ -3,7 +3,7 @@
 //! ```console
 //! $ cppc-cli help
 //! $ cppc-cli simulate --bench mcf --ops 200000
-//! $ cppc-cli inject --config paper --fault 4x4 --trials 500
+//! $ cppc-cli campaign --scheme cppc --config paper --fault 4x4 --trials 500
 //! $ cppc-cli mttf --level l1
 //! $ cppc-cli sweep --what pairs
 //! $ cppc-cli benchmarks
@@ -24,30 +24,6 @@ use args::ParsedArgs;
 const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
     ("benchmarks", &[]),
     ("simulate", &["bench", "ops", "seed"]),
-    ("inject", &["config", "fault", "trials"]),
-    (
-        "campaign",
-        &[
-            "kind",
-            "scheme",
-            "trials",
-            "seed",
-            "threads",
-            "shard-size",
-            "batch",
-            "checkpoint",
-            "checkpoint-every",
-            "resume",
-            "json",
-            "config",
-            "fault",
-            "rate",
-            "domains",
-            "tavg",
-            "sleep-ms",
-            "trace",
-        ],
-    ),
     ("mttf", &["level", "fit", "avf"]),
     ("sweep", &["what"]),
     // Bare `trace` stays a `trace record` alias, so existing scripts
@@ -103,31 +79,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "checkpoint-every",
         ],
     ),
-    (
-        "submit",
-        &[
-            "socket",
-            "tcp",
-            "tenant",
-            "priority",
-            "watch",
-            "kind",
-            "scheme",
-            "trials",
-            "seed",
-            "threads",
-            "shard-size",
-            "batch",
-            "config",
-            "fault",
-            "rate",
-            "domains",
-            "tavg",
-            "sleep-ms",
-            "trace",
-            "quick",
-        ],
-    ),
     ("status", &["socket", "tcp", "id"]),
     ("result", &["socket", "tcp", "id"]),
     ("cancel", &["socket", "tcp", "id"]),
@@ -136,6 +87,27 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
     ("metrics", &["socket", "tcp"]),
     ("shutdown", &["socket", "tcp"]),
 ];
+
+/// The verbs that take a job spec: each accepts
+/// [`serve_cmd::SPEC_OPTIONS`] plus its own extras.
+const SPEC_COMMANDS: &[(&str, &[&str])] = &[
+    (
+        "campaign",
+        &["checkpoint", "checkpoint-every", "resume", "json"],
+    ),
+    ("submit", &["socket", "tcp", "tenant", "priority", "watch"]),
+];
+
+/// The option allowlist of `command` (`None` for unknown commands).
+fn allowed_options(command: &str) -> Option<Vec<&'static str>> {
+    if let Some((_, extras)) = SPEC_COMMANDS.iter().find(|(name, _)| *name == command) {
+        return Some([serve_cmd::SPEC_OPTIONS, extras].concat());
+    }
+    COMMAND_OPTIONS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map(|(_, allowed)| allowed.to_vec())
+}
 
 /// Folds a `trace <subcommand>` pair into the single composite command
 /// token the parser expects (`["trace", "convert", ...]` becomes
@@ -164,11 +136,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some((_, allowed)) = COMMAND_OPTIONS
-        .iter()
-        .find(|(name, _)| *name == parsed.command())
-    {
-        if let Err(e) = parsed.reject_unknown(allowed) {
+    if let Some(allowed) = allowed_options(parsed.command()) {
+        if let Err(e) = parsed.reject_unknown(&allowed) {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
@@ -180,8 +149,7 @@ fn main() {
         }
         "benchmarks" => commands::benchmarks(),
         "simulate" => commands::simulate(&parsed),
-        "inject" => commands::inject(&parsed),
-        "campaign" => commands::campaign(&parsed),
+        "campaign" => serve_cmd::campaign(&parsed),
         "mttf" => commands::mttf(&parsed),
         "sweep" => commands::sweep(&parsed),
         "trace" | "trace record" => commands::trace(&parsed),
@@ -277,13 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn campaign_and_submit_accept_trace_kind_flags() {
+    fn campaign_and_submit_accept_every_spec_flag() {
         for cmd in ["campaign", "submit"] {
-            let (_, allowed) = COMMAND_OPTIONS
-                .iter()
-                .find(|(name, _)| *name == cmd)
-                .unwrap();
-            assert!(allowed.contains(&"trace"), "'{cmd}' lacks --trace");
+            let allowed = allowed_options(cmd).unwrap();
+            for flag in serve_cmd::SPEC_OPTIONS {
+                assert!(allowed.contains(flag), "'{cmd}' lacks --{flag}");
+            }
         }
+        assert!(allowed_options("campaign").unwrap().contains(&"json"));
+        assert!(!allowed_options("submit").unwrap().contains(&"json"));
+        assert!(allowed_options("inject").is_none(), "inject is gone");
     }
 }

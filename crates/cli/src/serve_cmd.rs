@@ -1,6 +1,9 @@
-//! The `serve` daemon subcommand and the thin client subcommands
-//! (`submit`, `status`, `result`, `cancel`, `list`, `watch`,
-//! `metrics`, `shutdown`) that talk to it.
+//! The subcommands that describe a campaign as a [`JobSpec`]: the
+//! local `campaign` run, the `serve` daemon, and the thin client
+//! subcommands (`submit`, `status`, `result`, `cancel`, `list`,
+//! `watch`, `metrics`, `shutdown`) that talk to it. `campaign` and
+//! `submit` share one flag parser ([`spec_from_args`]), and both end
+//! in `cppc_serve::runner::execute` — in-process or in the daemon.
 //!
 //! Every client subcommand takes `--socket <path>` (default
 //! [`DEFAULT_SOCKET`]) or `--tcp 127.0.0.1:<port>` and speaks the
@@ -11,8 +14,13 @@
 
 use std::error::Error;
 use std::path::Path;
+use std::time::Instant;
 
 use cppc_campaign::json::Json;
+use cppc_campaign::{CheckpointPolicy, Persist};
+use cppc_fault::campaign::OutcomeTally;
+use cppc_reliability::montecarlo::analytic_mttf_hours;
+use cppc_serve::runner::{self, RunEnd};
 use cppc_serve::{Client, JobId, JobKind, JobSpec, Priority, ServerConfig};
 
 use crate::args::ParsedArgs;
@@ -73,23 +81,38 @@ fn job_id(args: &ParsedArgs) -> Result<JobId, Box<dyn Error>> {
     Ok(args.get_parsed("id", 0)?)
 }
 
-/// Builds a [`JobSpec`] from the same `--kind`-keyed flags that
-/// `cppc-cli campaign` takes, validating before anything hits the wire.
+/// The flags [`spec_from_args`] reads: the options `campaign` and
+/// `submit` share.
+pub const SPEC_OPTIONS: &[&str] = &[
+    "kind",
+    "scheme",
+    "trials",
+    "seed",
+    "threads",
+    "shard-size",
+    "batch",
+    "config",
+    "fault",
+    "rate",
+    "domains",
+    "tavg",
+    "sleep-ms",
+    "trace",
+    "quick",
+];
+
+/// Builds a [`JobSpec`] from the `--kind`-keyed [`SPEC_OPTIONS`],
+/// validating before anything runs or hits the wire. `campaign` and
+/// `submit` both describe their campaign with it.
 fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
-    // `--scheme <name>` alone selects the scheme-zoo campaign, exactly
-    // as `cppc-cli campaign` does.
-    let default_kind = if args.get("scheme").is_some() {
-        "scheme"
-    } else {
-        "inject"
-    };
-    let kind = match args.get_or("kind", default_kind) {
-        "inject" => JobKind::Inject {
-            config: args.get_or("config", "paper").to_string(),
-            fault: args.get_or("fault", "4x4").to_string(),
-        },
-        "scheme" => JobKind::Scheme {
-            scheme: args.get_or("scheme", "cppc").to_string(),
+    let kind = match args.get_or("kind", "scheme") {
+        // `inject` is the historical name of `--scheme cppc`.
+        kind @ ("inject" | "scheme") => JobKind::Scheme {
+            scheme: match kind {
+                "inject" => "cppc",
+                _ => args.get_or("scheme", "cppc"),
+            }
+            .to_string(),
             config: args.get_or("config", "paper").to_string(),
             fault: args.get_or("fault", "4x4").to_string(),
         },
@@ -103,21 +126,21 @@ fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
             millis: args.get_parsed("sleep-ms", 0)?,
         },
         "trace" => JobKind::Trace {
-            // The path is resolved on the daemon's host, not the
-            // submitting one; absolute paths travel best.
+            // A served job resolves the path on the daemon's host, not
+            // the submitting one; absolute paths travel best.
             path: args
                 .get("trace")
                 .ok_or("--kind trace requires --trace <file>")?
                 .to_string(),
         },
         // `--trials`/`--seed` override the tier's per-config campaign
-        // parameters, so small smoke sweeps can run through the daemon.
+        // parameters, so small smoke sweeps can run.
         "explore" => JobKind::Explore {
             quick: args.get_flag("quick"),
         },
         other => {
             return Err(format!(
-                "unknown kind '{other}' (use inject|scheme|montecarlo|mbe|sleep|trace|explore)"
+                "unknown kind '{other}' (use scheme|inject|montecarlo|mbe|sleep|trace|explore)"
             )
             .into())
         }
@@ -127,13 +150,103 @@ fn spec_from_args(args: &ParsedArgs) -> Result<JobSpec, Box<dyn Error>> {
         args.get_parsed("trials", 2000)?,
         args.get_parsed("seed", 0xC11)?,
     );
-    // `--threads 0` resolves to every CPU on the daemon's host, not
-    // the submitting one.
+    // `--threads 0` resolves to every CPU on the executing host.
     spec.threads = args.get_parsed("threads", 1)?;
     spec.shard_size = args.get_parsed("shard-size", spec.shard_size)?;
     spec.batch = args.get_parsed("batch", spec.batch)?;
     spec.validate()?;
     Ok(spec)
+}
+
+/// `campaign` — runs the spec in-process through the daemon's own
+/// runner, so `--json` prints exactly the result document a served
+/// job of the same spec produces. Live progress goes to stderr.
+pub fn campaign(args: &ParsedArgs) -> CliResult {
+    let mut spec = spec_from_args(args)?;
+    // Local runs default to every CPU and checkpoint only on request.
+    spec.threads = args.get_parsed("threads", 0)?;
+    let checkpoint = match args.get("checkpoint") {
+        None => None,
+        Some(path) => Some(CheckpointPolicy {
+            path: path.into(),
+            every_shards: args.get_parsed("checkpoint-every", 16u64)?.max(1),
+            resume: args.get_parsed("resume", true)?,
+        }),
+    };
+    let json = args.get_flag("json");
+    let banner = format!(
+        "campaign: kind={}  trials={}  seed={:#x}  threads={}  checkpoint={}",
+        spec.kind.name(),
+        spec.trials,
+        spec.seed,
+        spec.campaign_config(spec.threads).resolved_threads(),
+        args.get_or("checkpoint", "none"),
+    );
+    if json {
+        eprintln!("{banner}");
+    } else {
+        println!("{banner}");
+    }
+
+    let mut last_print: Option<Instant> = None;
+    let end = runner::execute(&spec, checkpoint.as_ref(), spec.threads, None, |p| {
+        let done = p.shards_done == p.shards_total;
+        if done || last_print.is_none_or(|t| t.elapsed().as_millis() >= 500) {
+            eprintln!("  {}", p.summary_line());
+            last_print = Some(Instant::now());
+        }
+        if done {
+            eprintln!(
+                "  {} shards ({} resumed, {} failed) in {:.2}s",
+                p.shards_done, p.shards_resumed, p.shards_failed, p.elapsed_secs
+            );
+        }
+    });
+    let result = match end {
+        RunEnd::Complete { result } => result,
+        RunEnd::Failed { error } => return Err(error.into()),
+        RunEnd::Interrupted => return Err("campaign interrupted".into()),
+    };
+    if json {
+        println!("{}", result.to_string_compact());
+    } else {
+        print_result(&spec, &result)?;
+    }
+    Ok(())
+}
+
+/// The human-readable form of a campaign's result document.
+fn print_result(spec: &JobSpec, result: &Json) -> CliResult {
+    if let Some(mc) = runner::montecarlo_config(spec) {
+        let hours = |key: &str| {
+            result
+                .get(key)
+                .and_then(Json::as_f64_bits)
+                .ok_or_else(|| format!("result lacks '{key}'"))
+        };
+        println!(
+            "  simulated: {:.2} h  (+/- {:.2})",
+            hours("mttf_hours")?,
+            hours("std_error_hours")?
+        );
+        println!("  analytic:  {:.2} h", analytic_mttf_hours(&mc));
+        return Ok(());
+    }
+    // Only tally documents have a human form; print the rest as is.
+    let Some(tally) = OutcomeTally::from_json(result) else {
+        println!("{}", result.to_string_compact());
+        return Ok(());
+    };
+    for (label, n) in [
+        ("corrected:", tally.corrected),
+        ("DUE:", tally.due),
+        ("SDC:", tally.sdc),
+        ("masked:", tally.masked),
+    ] {
+        let pct = n as f64 / tally.total() as f64 * 100.0;
+        println!("{label:<11}{n:>6}  ({pct:.1}%)");
+    }
+    Ok(())
 }
 
 /// `submit` — prints the new job id to stdout (`--watch` then streams

@@ -17,19 +17,10 @@ pub type JobId = u64;
 /// What kind of campaign a job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
-    /// Fault-injection campaign on a small L1 CPPC
-    /// ([`cppc_bench::experiments::inject_experiment`]).
-    Inject {
-        /// CPPC configuration name (`basic`, `paper`, `two-pairs`,
-        /// `eight-pairs`).
-        config: String,
-        /// Fault model name (`single`, `2xvert`, `8xhoriz`, `4x4`,
-        /// `8x8`).
-        fault: String,
-    },
     /// Scheme-zoo fault-injection campaign behind the
     /// `ProtectionScheme` trait
-    /// ([`cppc_bench::experiments::scheme_experiment`]).
+    /// ([`cppc_bench::experiments::scheme_experiment`]). The
+    /// historical `inject` kind is this kind with `scheme: "cppc"`.
     Scheme {
         /// Protection-scheme selector (`cppc`, `parity1d`,
         /// `secded-interleaved`, `parity2d`, `silent-write-ecc`,
@@ -88,7 +79,6 @@ impl JobKind {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            JobKind::Inject { .. } => "inject",
             JobKind::Scheme { .. } => "scheme",
             JobKind::MonteCarlo { .. } => "montecarlo",
             JobKind::Mbe => "mbe",
@@ -139,8 +129,8 @@ impl JobSpec {
         }
     }
 
-    /// Checks the spec is runnable: positive sizes and, for `inject`,
-    /// known config/fault names. Submissions with a bad spec are
+    /// Checks the spec is runnable: positive sizes and, for `scheme`,
+    /// known scheme/config/fault names. Submissions with a bad spec are
     /// rejected at the socket instead of failing later in a worker.
     ///
     /// # Errors
@@ -154,10 +144,6 @@ impl JobSpec {
             return Err("shard_size must be positive".into());
         }
         match &self.kind {
-            JobKind::Inject { config, fault } => {
-                parse_config(config)?;
-                parse_fault(fault)?;
-            }
             JobKind::Scheme {
                 scheme,
                 config,
@@ -213,10 +199,6 @@ impl JobSpec {
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![("kind".to_string(), Json::Str(self.kind.name().into()))];
         match &self.kind {
-            JobKind::Inject { config, fault } => {
-                pairs.push(("config".into(), Json::Str(config.clone())));
-                pairs.push(("fault".into(), Json::Str(fault.clone())));
-            }
             JobKind::Scheme {
                 scheme,
                 config,
@@ -281,7 +263,10 @@ impl JobSpec {
                 .ok_or_else(|| format!("spec missing '{name}'"))
         };
         let kind = match kind_name {
-            "inject" => JobKind::Inject {
+            // Journals and clients from before the scheme zoo name the
+            // CPPC campaign `inject`; it is the `cppc` scheme.
+            "inject" => JobKind::Scheme {
+                scheme: "cppc".into(),
                 config: str_field("config")?,
                 fault: str_field("fault")?,
             },
@@ -560,7 +545,8 @@ mod tests {
     fn specs() -> Vec<JobSpec> {
         vec![
             JobSpec::new(
-                JobKind::Inject {
+                JobKind::Scheme {
+                    scheme: "cppc".into(),
                     config: "paper".into(),
                     fault: "4x4".into(),
                 },
@@ -606,6 +592,26 @@ mod tests {
         ]
     }
 
+    /// A spec as journals and clients from before the scheme zoo wrote
+    /// it (`inject` kind, no `batch` field), and the spec it loads as.
+    fn legacy_inject_spec() -> (&'static str, JobSpec) {
+        (
+            r#"{"kind":"inject","config":"paper","fault":"8x8","trials":64,"seed":3089,"threads":1,"shard_size":16}"#,
+            JobSpec {
+                shard_size: 16,
+                ..JobSpec::new(
+                    JobKind::Scheme {
+                        scheme: "cppc".into(),
+                        config: "paper".into(),
+                        fault: "8x8".into(),
+                    },
+                    64,
+                    0xC11,
+                )
+            },
+        )
+    }
+
     #[test]
     fn spec_json_roundtrip() {
         for spec in specs() {
@@ -613,6 +619,26 @@ mod tests {
             let back = JobSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, spec, "{text}");
         }
+        let (legacy, spec) = legacy_inject_spec();
+        let back = JobSpec::from_json(&Json::parse(legacy).unwrap()).unwrap();
+        assert_eq!(back, spec, "{legacy}");
+    }
+
+    #[test]
+    fn journalled_inject_job_runs_as_the_cppc_scheme() {
+        let (legacy, spec) = legacy_inject_spec();
+        let record = format!(
+            r#"{{"id":7,"tenant":"t","priority":"normal","spec":{legacy},"state":"running","result":null,"error":null}}"#
+        );
+        let loaded = JobRecord::from_json(&Json::parse(&record).unwrap()).unwrap();
+        assert_eq!(loaded.spec, spec);
+        let run = |spec: &JobSpec| crate::runner::execute(spec, None, 1, None, |_| {});
+        let end = run(&loaded.spec);
+        assert!(
+            matches!(end, crate::runner::RunEnd::Complete { .. }),
+            "{end:?}"
+        );
+        assert_eq!(end, run(&spec));
     }
 
     #[test]
@@ -624,7 +650,8 @@ mod tests {
         bad.trials = 0;
         assert!(bad.validate().is_err());
         let bad_fault = JobSpec::new(
-            JobKind::Inject {
+            JobKind::Scheme {
+                scheme: "cppc".into(),
                 config: "paper".into(),
                 fault: "9x9".into(),
             },

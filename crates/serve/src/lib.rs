@@ -15,9 +15,9 @@
 //!   `--data-dir` (atomic writes, restart recovery);
 //! - [`scheduler`] — two priority lanes, per-tenant round-robin fair
 //!   share, backpressure at the admission bound, a thread governor;
-//! - [`runner`] — executes one job on
-//!   [`cppc_campaign::run_resumable_interruptible`] with cooperative
-//!   interruption;
+//! - [`runner`] — executes one job spec on the campaign engine, with
+//!   an optional checkpoint and cooperative interruption; the daemon
+//!   and `cppc-cli campaign` both run campaigns through it;
 //! - [`protocol`] — the wire requests/responses;
 //! - [`server`] — listeners, connection handlers, the dispatch loop,
 //!   graceful shutdown;

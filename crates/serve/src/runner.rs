@@ -1,29 +1,30 @@
-//! Executes one job's campaign on the engine, with checkpointing and
-//! cooperative interruption.
+//! Executes one job's campaign on the engine, with optional
+//! checkpointing and cooperative interruption.
 //!
-//! The runner is where a [`JobSpec`] meets
-//! [`cppc_campaign::run_resumable_interruptible`]: it resolves the
-//! spec's kind to its experiment body (the same bodies
-//! `cppc-cli campaign` uses, from [`cppc_bench::experiments`]), runs
-//! under the job's checkpoint file, and reports one of three ends. An
-//! `Interrupted` end means the engine drained in-flight shards and
-//! wrote a final checkpoint — the caller decides whether that was a
+//! The runner is the one place a [`JobSpec`] becomes a campaign: it
+//! resolves the spec's kind to its experiment body (from
+//! [`cppc_bench::experiments`]), runs it on the engine, and reports one
+//! of three ends. Both front ends call [`execute`]: the daemon runs
+//! each job under its own checkpoint file, and `cppc-cli campaign`
+//! runs the same spec in-process, so a served result and a direct one
+//! are byte-identical by construction. An `Interrupted` end means the
+//! engine drained in-flight shards (and, under a checkpoint policy,
+//! wrote a final checkpoint) — the caller decides whether that was a
 //! cancel (terminal) or a shutdown suspension (the job stays `running`
 //! in the journal and resumes bit-identically on restart).
 
-use std::path::Path;
 use std::sync::atomic::AtomicBool;
 
 use cppc_bench::experiments::{
-    inject_experiment, inject_geometry, load_trace, parse_config, parse_fault, parse_scheme,
-    scheme_experiment, sleep_experiment, trace_experiment,
+    load_trace, parse_config, parse_fault, parse_scheme, scheme_experiment, sleep_experiment,
+    trace_experiment,
 };
 use cppc_campaign::json::Json;
 use cppc_campaign::metrics::Progress;
 use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::{
-    run_resumable_interruptible, run_resumable_interruptible_exec, Accumulator, CampaignReport,
-    CheckpointError, CheckpointPolicy, Persist,
+    run_interruptible_exec, run_resumable_interruptible_exec, Accumulator, CampaignConfig,
+    CampaignReport, CheckpointError, CheckpointPolicy, PerTrial, Persist, TrialExec,
 };
 use cppc_fault::campaign::{Outcome, OutcomeTally};
 use cppc_reliability::montecarlo::{simulate_trial_into, MonteCarloAccumulator, MonteCarloConfig};
@@ -39,10 +40,12 @@ pub enum RunEnd {
         /// The job's final result document.
         result: Json,
     },
-    /// The interrupt flag stopped the run early; progress is
-    /// checkpointed and a resumed run merges bit-identically.
+    /// The interrupt flag stopped the run early; under a checkpoint
+    /// policy, progress is checkpointed and a resumed run merges
+    /// bit-identically.
     Interrupted,
-    /// A shard panicked or the checkpoint was unusable.
+    /// A shard panicked, the spec no longer parses, or the checkpoint
+    /// was unusable.
     Failed {
         /// Human-readable diagnostic.
         error: String,
@@ -51,43 +54,19 @@ pub enum RunEnd {
 
 /// Runs `spec` to one of its three ends.
 ///
-/// `ckpt_path` is the job's checkpoint file (created on first write,
-/// resumed from when present), `every_shards` the checkpoint cadence,
-/// `threads` the governor's grant, `interrupt` the cooperative stop
-/// flag, and `on_progress` receives the engine's live [`Progress`]
-/// snapshots.
+/// `checkpoint` is the checkpoint file and cadence (`None` runs
+/// without one), `threads` the worker count (the governor's grant; `0`
+/// resolves to every CPU), `interrupt` the cooperative stop flag, and
+/// `on_progress` receives the engine's live [`Progress`] snapshots.
 pub fn execute(
     spec: &JobSpec,
-    ckpt_path: &Path,
-    every_shards: u64,
+    checkpoint: Option<&CheckpointPolicy>,
     threads: usize,
     interrupt: Option<&AtomicBool>,
     on_progress: impl FnMut(&Progress),
 ) -> RunEnd {
-    let policy = CheckpointPolicy {
-        path: ckpt_path.to_path_buf(),
-        every_shards: every_shards.max(1),
-        resume: true,
-    };
     let cfg = spec.campaign_config(threads);
     match &spec.kind {
-        JobKind::Inject { config, fault } => {
-            let (Ok(config), Ok(fault)) = (parse_config(config), parse_fault(fault)) else {
-                return RunEnd::Failed {
-                    error: "spec no longer parses (config/fault)".into(),
-                };
-            };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    inject_experiment(inject_geometry(), config, fault),
-                    on_progress,
-                ),
-                tally_result_json,
-            )
-        }
         JobKind::Scheme {
             scheme,
             config,
@@ -102,40 +81,20 @@ pub fn execute(
                     error: "spec no longer parses (scheme/config/fault)".into(),
                 };
             };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    scheme_experiment(scheme, config, fault),
-                    on_progress,
-                ),
-                tally_result_json,
-            )
+            let exec = PerTrial(scheme_experiment(scheme, config, fault));
+            run_tally(&cfg, checkpoint, interrupt, exec, on_progress)
         }
         // The batched executor is bit-identical to the per-trial path
         // at any batch size, so checkpoints written by older daemons
         // (or by `--batch 1` runs) resume seamlessly through it.
-        JobKind::Mbe => finish::<OutcomeTally>(
-            run_resumable_interruptible_exec(
-                &cfg,
-                &policy,
-                interrupt,
-                cppc_bench::mbe::MbeBatchExec::solid(spec.batch),
-                on_progress,
-            ),
-            tally_result_json,
-        ),
-        JobKind::Sleep { millis } => finish::<OutcomeTally>(
-            run_resumable_interruptible(
-                &cfg,
-                &policy,
-                interrupt,
-                sleep_experiment(*millis),
-                on_progress,
-            ),
-            tally_result_json,
-        ),
+        JobKind::Mbe => {
+            let exec = cppc_bench::mbe::MbeBatchExec::solid(spec.batch);
+            run_tally(&cfg, checkpoint, interrupt, exec, on_progress)
+        }
+        JobKind::Sleep { millis } => {
+            let exec = PerTrial(sleep_experiment(*millis));
+            run_tally(&cfg, checkpoint, interrupt, exec, on_progress)
+        }
         JobKind::Trace { path } => {
             // Load (and pre-decode) once; the experiment replays the
             // immutable batch per trial on every worker thread.
@@ -143,19 +102,11 @@ pub fn execute(
                 Ok(trace) => trace,
                 Err(error) => return RunEnd::Failed { error },
             };
-            finish::<OutcomeTally>(
-                run_resumable_interruptible(
-                    &cfg,
-                    &policy,
-                    interrupt,
-                    trace_experiment(&trace),
-                    on_progress,
-                ),
-                tally_result_json,
-            )
+            let exec = PerTrial(trace_experiment(&trace));
+            run_tally(&cfg, checkpoint, interrupt, exec, on_progress)
         }
         // The sweep has its own parallel driver and per-config
-        // checkpoint store, so it bypasses the shard engine: the job's
+        // checkpoint store, so it bypasses the shard engine: the
         // checkpoint *path* is reused as the base name of a sibling
         // directory holding one digest-keyed file per configuration,
         // which gives the same suspend/resume contract (interrupt →
@@ -171,7 +122,7 @@ pub fn execute(
             sweep.campaign_seed = spec.seed;
             let opts = cppc_explore::SweepOptions {
                 threads,
-                checkpoint_dir: Some(ckpt_path.with_extension("explore.d")),
+                checkpoint_dir: checkpoint.map(|p| p.path.with_extension("explore.d")),
             };
             match cppc_explore::run_sweep(&sweep, &opts, interrupt) {
                 Err(error) => RunEnd::Failed { error },
@@ -181,31 +132,21 @@ pub fn execute(
                 },
             }
         }
-        JobKind::MonteCarlo {
-            rate,
-            domains,
-            tavg,
-        } => {
-            let mc = MonteCarloConfig {
-                faults_per_hour: *rate,
-                domains: *domains as usize,
-                tavg_hours: *tavg,
-                trials: spec.trials as u32,
-            };
+        JobKind::MonteCarlo { .. } => {
+            let mc = montecarlo_config(spec).expect("montecarlo spec");
             std::thread_local! {
                 static LAST_FAULT: std::cell::RefCell<Vec<f64>> =
                     const { std::cell::RefCell::new(Vec::new()) };
             }
-            finish::<MonteCarloAccumulator>(
-                run_resumable_interruptible(
+            let exec = PerTrial(move |rng: &mut StdRng, _trial| {
+                LAST_FAULT.with(|scratch| simulate_trial_into(&mc, rng, &mut scratch.borrow_mut()))
+            });
+            finish(
+                run_campaign::<MonteCarloAccumulator, _>(
                     &cfg,
-                    &policy,
+                    checkpoint,
                     interrupt,
-                    move |rng: &mut StdRng, _trial| {
-                        LAST_FAULT.with(|scratch| {
-                            simulate_trial_into(&mc, rng, &mut scratch.borrow_mut())
-                        })
-                    },
+                    exec,
                     on_progress,
                 ),
                 montecarlo_result_json,
@@ -213,8 +154,57 @@ pub fn execute(
         }
     }
 }
+/// The Monte Carlo parameters of a `montecarlo` spec (`None` for any
+/// other kind).
+#[must_use]
+pub fn montecarlo_config(spec: &JobSpec) -> Option<MonteCarloConfig> {
+    let JobKind::MonteCarlo {
+        rate,
+        domains,
+        tavg,
+    } = spec.kind
+    else {
+        return None;
+    };
+    Some(MonteCarloConfig {
+        faults_per_hour: rate,
+        domains: domains as usize,
+        tavg_hours: tavg,
+        // `JobSpec::validate` bounds montecarlo trials to `u32`.
+        trials: u32::try_from(spec.trials).unwrap_or(u32::MAX),
+    })
+}
 
-fn finish<A: Accumulator + Persist>(
+/// Runs one campaign, under `checkpoint` when given.
+fn run_campaign<A: Accumulator + Persist, E: TrialExec<A>>(
+    cfg: &CampaignConfig,
+    checkpoint: Option<&CheckpointPolicy>,
+    interrupt: Option<&AtomicBool>,
+    exec: E,
+    on_progress: impl FnMut(&Progress),
+) -> Result<CampaignReport<A>, CheckpointError> {
+    match checkpoint {
+        Some(policy) => run_resumable_interruptible_exec(cfg, policy, interrupt, exec, on_progress),
+        None => Ok(run_interruptible_exec(cfg, interrupt, exec, on_progress)),
+    }
+}
+
+/// [`run_campaign`] for the outcome-tally kinds, rendered with
+/// [`tally_result_json`].
+fn run_tally<E: TrialExec<OutcomeTally>>(
+    cfg: &CampaignConfig,
+    checkpoint: Option<&CheckpointPolicy>,
+    interrupt: Option<&AtomicBool>,
+    exec: E,
+    on_progress: impl FnMut(&Progress),
+) -> RunEnd {
+    finish(
+        run_campaign(cfg, checkpoint, interrupt, exec, on_progress),
+        tally_result_json,
+    )
+}
+
+fn finish<A>(
     outcome: Result<CampaignReport<A>, CheckpointError>,
     render: impl FnOnce(&A) -> Json,
 ) -> RunEnd {
@@ -226,8 +216,8 @@ fn finish<A: Accumulator + Persist>(
             if let Some(f) = report.failed.first() {
                 return RunEnd::Failed {
                     error: format!(
-                        "shard {} (trials {}..{}) panicked: {}",
-                        f.shard, f.trial_lo, f.trial_hi, f.message
+                        "shard {} (trials {}..{}, first seed {:#x}) panicked: {}",
+                        f.shard, f.trial_lo, f.trial_hi, f.first_trial_seed, f.message
                     ),
                 };
             }
@@ -242,8 +232,8 @@ fn finish<A: Accumulator + Persist>(
     }
 }
 
-/// The final result document of an outcome-tally campaign (`inject`,
-/// `mbe`, `sleep`): the tally's own persisted form —
+/// The final result document of an outcome-tally campaign (`scheme`,
+/// `mbe`, `sleep`, `trace`): the tally's own persisted form —
 /// `{"masked":..,"corrected":..,"due":..,"sdc":..}`. `cppc-cli
 /// campaign --json` prints exactly this, which is what the service
 /// smoke gate compares against.
@@ -287,6 +277,14 @@ mod tests {
     use crate::job::JobSpec;
     use std::sync::atomic::Ordering;
 
+    fn policy(path: &std::path::Path, every_shards: u64) -> CheckpointPolicy {
+        CheckpointPolicy {
+            path: path.to_path_buf(),
+            every_shards,
+            resume: true,
+        }
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cppc_serve_runner_tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -301,7 +299,7 @@ mod tests {
             shard_size: 8,
             ..JobSpec::new(JobKind::Sleep { millis: 0 }, 96, 0xABCD)
         };
-        let end = execute(&spec, &path, 4, 1, None, |_| {});
+        let end = execute(&spec, Some(&policy(&path, 4)), 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(0)).result;
         assert_eq!(
@@ -311,6 +309,39 @@ mod tests {
             }
         );
         let _ = std::fs::remove_file(&path);
+        // Without a checkpoint policy the result is the same and no
+        // file is written.
+        assert_eq!(execute(&spec, None, 2, None, |_| {}), end);
+        assert!(!path.exists());
+        let stop = AtomicBool::new(true);
+        let stopped = execute(&spec, None, 1, Some(&stop), |_| {});
+        assert_eq!(stopped, RunEnd::Interrupted);
+    }
+
+    #[test]
+    fn failed_shard_error_names_its_first_trial_seed() {
+        let report = CampaignReport {
+            result: OutcomeTally::default(),
+            trials_merged: 0,
+            total_shards: 1,
+            completed_shards: 1,
+            resumed_shards: 0,
+            failed: vec![cppc_campaign::FailedShard {
+                shard: 0,
+                trial_lo: 0,
+                trial_hi: 8,
+                first_trial_seed: 0xDEAD_BEEF,
+                message: "boom".into(),
+            }],
+            elapsed_secs: 0.0,
+        };
+        match finish(Ok(report), tally_result_json) {
+            RunEnd::Failed { error } => {
+                assert!(error.contains("first seed 0xdeadbeef"), "{error}");
+                assert!(error.contains("boom"), "{error}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -323,13 +354,13 @@ mod tests {
         };
         // Interrupt as soon as the first progress snapshot arrives.
         let flag = AtomicBool::new(false);
-        let end = execute(&spec, &path, 1, 1, Some(&flag), |_| {
+        let end = execute(&spec, Some(&policy(&path, 1)), 1, Some(&flag), |_| {
             flag.store(true, Ordering::Release);
         });
         assert_eq!(end, RunEnd::Interrupted);
         assert!(path.exists(), "interruption must leave a checkpoint");
         // Resume to completion and compare with an uninterrupted run.
-        let resumed = execute(&spec, &path, 4, 1, None, |_| {});
+        let resumed = execute(&spec, Some(&policy(&path, 4)), 1, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), sleep_experiment(1)).result;
         assert_eq!(
@@ -350,7 +381,7 @@ mod tests {
         // A pre-raised flag must yield `Interrupted` without running a
         // single configuration (so cancel/shutdown is prompt).
         let flag = AtomicBool::new(true);
-        let end = execute(&spec, &ckpt, 4, 1, Some(&flag), |_| {});
+        let end = execute(&spec, Some(&policy(&ckpt, 4)), 1, Some(&flag), |_| {});
         assert_eq!(end, RunEnd::Interrupted);
         assert!(
             !ckpt_dir.exists() || std::fs::read_dir(&ckpt_dir).unwrap().next().is_none(),
@@ -358,7 +389,7 @@ mod tests {
         );
         // Resume to completion: the result is the sweep document for
         // the quick tier with the job's trials/seed substituted in.
-        let end = execute(&spec, &ckpt, 4, 2, None, |_| {});
+        let end = execute(&spec, Some(&policy(&ckpt, 4)), 2, None, |_| {});
         let mut sweep = cppc_explore::SweepSpec::quick_tier();
         sweep.trials = 2;
         sweep.campaign_seed = 0xE87A;
@@ -399,7 +430,7 @@ mod tests {
                 0xABCD,
             )
         };
-        let end = execute(&spec, &ckpt, 4, 2, None, |_| {});
+        let end = execute(&spec, Some(&policy(&ckpt, 4)), 2, None, |_| {});
         let direct: OutcomeTally =
             cppc_campaign::run(&spec.campaign_config(1), trace_experiment(&trace)).result;
         assert_eq!(
@@ -422,7 +453,7 @@ mod tests {
             8,
             1,
         );
-        match execute(&spec, &ckpt, 4, 1, None, |_| {}) {
+        match execute(&spec, Some(&policy(&ckpt, 4)), 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("cannot open"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -433,7 +464,7 @@ mod tests {
         let path = tmp("corrupt.json");
         std::fs::write(&path, "{not json").unwrap();
         let spec = JobSpec::new(JobKind::Sleep { millis: 0 }, 16, 1);
-        match execute(&spec, &path, 4, 1, None, |_| {}) {
+        match execute(&spec, Some(&policy(&path, 4)), 1, None, |_| {}) {
             RunEnd::Failed { error } => assert!(error.contains("malformed"), "{error}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -453,7 +484,8 @@ mod tests {
             200,
             0xCA7,
         );
-        let RunEnd::Complete { result } = execute(&spec, &path, 8, 1, None, |_| {}) else {
+        let RunEnd::Complete { result } = execute(&spec, Some(&policy(&path, 8)), 1, None, |_| {})
+        else {
             panic!("montecarlo job should complete")
         };
         assert_eq!(result.get("n").and_then(Json::as_u64), Some(200));
@@ -464,7 +496,9 @@ mod tests {
         assert!(mttf.is_finite() && mttf > 0.0);
         // Re-running reproduces the document bit for bit.
         let _ = std::fs::remove_file(&path);
-        let RunEnd::Complete { result: again } = execute(&spec, &path, 8, 1, None, |_| {}) else {
+        let RunEnd::Complete { result: again } =
+            execute(&spec, Some(&policy(&path, 8)), 1, None, |_| {})
+        else {
             panic!("montecarlo rerun should complete")
         };
         assert_eq!(again, result);

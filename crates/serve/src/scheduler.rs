@@ -110,17 +110,31 @@ pub struct Scheduler {
     wake: Condvar,
     queue_cap: usize,
     max_threads: usize,
+    host_cores: usize,
 }
 
 impl Scheduler {
     /// A scheduler admitting at most `queue_cap` queued jobs and
-    /// granting at most `max_threads` total worker threads.
+    /// granting at most `max_threads` total worker threads, on this
+    /// host's core count (`available_parallelism`).
     ///
     /// # Panics
     ///
     /// Panics if either bound is zero.
     #[must_use]
     pub fn new(queue_cap: usize, max_threads: usize) -> Self {
+        let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        Self::with_host_cores(queue_cap, max_threads, host_cores)
+    }
+
+    /// [`Scheduler::new`] for a host with `host_cores` cores: a demand
+    /// of `threads = 0` resolves to `host_cores` before the cap clamps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bound is zero.
+    #[must_use]
+    pub fn with_host_cores(queue_cap: usize, max_threads: usize, host_cores: usize) -> Self {
         assert!(queue_cap > 0, "queue capacity must be positive");
         assert!(max_threads > 0, "thread cap must be positive");
         Scheduler {
@@ -128,6 +142,7 @@ impl Scheduler {
             wake: Condvar::new(),
             queue_cap,
             max_threads,
+            host_cores,
         }
     }
 
@@ -137,11 +152,11 @@ impl Scheduler {
         self.max_threads
     }
 
-    /// Resolves a spec's thread demand: `0` means every CPU on this
-    /// host (`available_parallelism`), then the governor's cap clamps.
+    /// Resolves a spec's thread demand: `0` means every core of the
+    /// host, then the governor's cap clamps.
     fn resolve_demand(&self, threads: usize) -> usize {
         let wanted = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+            self.host_cores
         } else {
             threads
         };
@@ -348,9 +363,20 @@ mod tests {
         let s = Scheduler::new(16, 2);
         s.submit(1, "a", Priority::Normal, 64).unwrap();
         assert_eq!(s.try_next().unwrap().threads, 2);
-        let s0 = Scheduler::new(16, 2);
-        s0.submit(1, "a", Priority::Normal, 0).unwrap();
-        assert_eq!(s0.try_next().unwrap().threads, 1);
+        // `threads = 0` means every core: 1 on a 1-core host ...
+        let one_core = Scheduler::with_host_cores(16, 2, 1);
+        one_core.submit(1, "a", Priority::Normal, 0).unwrap();
+        assert_eq!(one_core.try_next().unwrap().threads, 1);
+        // ... and min(cores, cap) on an N-core host.
+        for (cores, cap, granted) in [(4, 2, 2), (4, 8, 4), (2, 2, 2)] {
+            let s = Scheduler::with_host_cores(16, cap, cores);
+            s.submit(1, "a", Priority::Normal, 0).unwrap();
+            assert_eq!(
+                s.try_next().unwrap().threads,
+                granted,
+                "{cores} cores, cap {cap}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use cppc_campaign::json::Json;
 use cppc_campaign::metrics::Progress;
+use cppc_campaign::CheckpointPolicy;
 
 use crate::job::{JobId, JobRecord, JobState, Priority};
 use crate::obs;
@@ -272,15 +273,17 @@ fn run_job(shared: &Arc<Shared>, grant: Grant) {
         )
     };
 
+    // Every job checkpoints to its own file and resumes from it after
+    // a restart.
+    let policy = CheckpointPolicy {
+        path: shared.store.checkpoint_path(grant.id),
+        every_shards: shared.cfg.checkpoint_every_shards.max(1),
+        resume: true,
+    };
     let started = Instant::now();
-    let end = crate::runner::execute(
-        &spec,
-        &shared.store.checkpoint_path(grant.id),
-        shared.cfg.checkpoint_every_shards,
-        grant.threads,
-        Some(&interrupt),
-        |p| *progress.lock().expect("progress lock") = Some(p.clone()),
-    );
+    let end = crate::runner::execute(&spec, Some(&policy), grant.threads, Some(&interrupt), |p| {
+        *progress.lock().expect("progress lock") = Some(p.clone())
+    });
     obs::JOB_LATENCY.record_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
 
     let mut jobs = shared.jobs.lock().expect("jobs lock");
@@ -375,6 +378,12 @@ impl SetReadTimeout for std::net::TcpStream {
     }
 }
 
+/// The longest request line the daemon reads, newline excluded. A
+/// request is a few hundred bytes; a longer line gets an error reply
+/// and the connection is dropped, so no client can make a handler
+/// buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Serves one connection: a loop of request lines, each answered on
 /// the same stream. Read timeouts keep the loop responsive to
 /// shutdown; any I/O error simply ends the connection.
@@ -384,13 +393,30 @@ fn handle_connection<S: Read + Write + SetReadTimeout>(shared: &Arc<Shared>, str
         return;
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap (a partial line survives
+        // read timeouts), so an over-long line shows without being
+        // buffered whole.
+        let budget = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return,
+            Ok(_) if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") => {
+                obs::REQUESTS.inc();
+                let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                let _ = write_json(reader.get_mut(), &error_response(&message, None));
+                return;
+            }
             Ok(_) => {
-                let request = line.trim();
-                if !request.is_empty() && handle_line(shared, request, &mut reader).is_err() {
+                let replied = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => Ok(()),
+                    Ok(text) => handle_line(shared, text.trim(), &mut reader),
+                    Err(_) => write_json(
+                        reader.get_mut(),
+                        &error_response("request is not UTF-8", None),
+                    ),
+                };
+                if replied.is_err() {
                     return;
                 }
                 line.clear();

@@ -2,7 +2,8 @@
 //! ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
 //! `parity2d`) must reproduce the historical baked-in campaign
 //! closures **bit for bit** — same tallies, same checkpoint bytes — at
-//! 1, 2 and 8 threads.
+//! 1, 2 and 8 threads. CPPC is pinned under every configuration x
+//! fault model, since `--scheme cppc` is the only CPPC campaign path.
 //!
 //! The "legacy" closures below are the pre-refactor campaign bodies,
 //! kept inline here as the frozen reference: each drives the concrete
@@ -15,7 +16,7 @@
 
 use std::path::PathBuf;
 
-use cppc_bench::experiments::{inject_geometry, scheme_experiment};
+use cppc_bench::experiments::{inject_geometry, parse_config, parse_fault, scheme_experiment};
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
@@ -53,27 +54,29 @@ fn fill(trial: u64, mut store: impl FnMut(u64, u64)) -> Vec<(u64, u64)> {
     truth
 }
 
-/// Pre-refactor CPPC campaign body (`inject_experiment`'s protocol).
-fn legacy_cppc(rng: &mut StdRng, trial: u64) -> Outcome {
-    let mut mem = MainMemory::new();
-    let mut cache = CppcCache::new_l1(
-        inject_geometry(),
-        CppcConfig::paper(),
-        ReplacementPolicy::Lru,
-    )
-    .unwrap();
-    let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem).unwrap());
-    let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-    if cache.inject(&generator.sample(FAULT)) == 0 {
-        return Outcome::Masked;
-    }
-    match cache.recover_all(&mut mem) {
-        Err(_) => Outcome::DetectedUnrecoverable,
-        Ok(_) => {
-            if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
-                Outcome::Corrected
-            } else {
-                Outcome::SilentCorruption
+/// Pre-refactor CPPC campaign body (the retired `inject` campaign's
+/// protocol) for one CPPC configuration and fault model.
+fn legacy_cppc(
+    config: CppcConfig,
+    fault: FaultModel,
+) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync {
+    move |rng, trial| {
+        let mut mem = MainMemory::new();
+        let mut cache =
+            CppcCache::new_l1(inject_geometry(), config, ReplacementPolicy::Lru).unwrap();
+        let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem).unwrap());
+        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
+        if cache.inject(&generator.sample(fault)) == 0 {
+            return Outcome::Masked;
+        }
+        match cache.recover_all(&mut mem) {
+            Err(_) => Outcome::DetectedUnrecoverable,
+            Ok(_) => {
+                if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
+                    Outcome::Corrected
+                } else {
+                    Outcome::SilentCorruption
+                }
             }
         }
     }
@@ -150,12 +153,18 @@ fn legacy_parity2d(rng: &mut StdRng, trial: u64) -> Outcome {
     }
 }
 
-fn legacy_of(kind: SchemeKind) -> fn(&mut StdRng, u64) -> Outcome {
+/// A campaign body chosen at run time.
+type Experiment = Box<dyn Fn(&mut StdRng, u64) -> Outcome + Sync>;
+
+/// The frozen reference of `kind` under `config` and `fault` (the
+/// non-CPPC references are pinned at the paper configuration and
+/// [`FAULT`]).
+fn legacy_of(kind: SchemeKind, config: CppcConfig, fault: FaultModel) -> Experiment {
     match kind {
-        SchemeKind::Cppc => legacy_cppc,
-        SchemeKind::Parity1d => legacy_parity1d,
-        SchemeKind::SecdedInterleaved => legacy_secded,
-        SchemeKind::Parity2d => legacy_parity2d,
+        SchemeKind::Cppc => Box::new(legacy_cppc(config, fault)),
+        SchemeKind::Parity1d => Box::new(legacy_parity1d),
+        SchemeKind::SecdedInterleaved => Box::new(legacy_secded),
+        SchemeKind::Parity2d => Box::new(legacy_parity2d),
         other => panic!("{other} has no pre-refactor path"),
     }
 }
@@ -166,6 +175,26 @@ const PORTED: [SchemeKind; 4] = [
     SchemeKind::SecdedInterleaved,
     SchemeKind::Parity2d,
 ];
+
+const CPPC_CONFIGS: [&str; 4] = ["basic", "paper", "two-pairs", "eight-pairs"];
+const FAULTS: [&str; 5] = ["single", "2xvert", "8xhoriz", "4x4", "8x8"];
+
+/// Every `(scheme, config, fault)` pinned against its frozen
+/// reference: the four ported schemes at the paper configuration and
+/// [`FAULT`], plus CPPC under every configuration x fault model the
+/// campaign front ends accept (the grid the retired `inject` campaign
+/// covered).
+fn pinned_cases() -> Vec<(SchemeKind, &'static str, &'static str)> {
+    let mut cases: Vec<_> = PORTED.iter().map(|&kind| (kind, "paper", "4x4")).collect();
+    for config in CPPC_CONFIGS {
+        for fault in FAULTS {
+            if (config, fault) != ("paper", "4x4") {
+                cases.push((SchemeKind::Cppc, config, fault));
+            }
+        }
+    }
+    cases
+}
 
 fn cfg(threads: usize) -> CampaignConfig {
     CampaignConfig::new(SEED, TRIALS)
@@ -202,23 +231,27 @@ where
 
 #[test]
 fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
-    for kind in PORTED {
-        let legacy = legacy_of(kind);
+    assert_eq!(parse_fault("4x4").unwrap(), FAULT);
+    for (kind, config_name, fault_name) in pinned_cases() {
+        let config = parse_config(config_name).unwrap();
+        let fault = parse_fault(fault_name).unwrap();
+        let legacy = legacy_of(kind, config, fault);
+        let case = format!("{kind}_{config_name}_{fault_name}");
         for threads in [1usize, 2, 8] {
             let (legacy_tally, legacy_bytes) =
-                run_checkpointed(&format!("legacy_{kind}"), threads, legacy);
+                run_checkpointed(&format!("legacy_{case}"), threads, &*legacy);
             let (scheme_tally, scheme_bytes) = run_checkpointed(
-                &format!("scheme_{kind}"),
+                &format!("scheme_{case}"),
                 threads,
-                scheme_experiment(kind, CppcConfig::paper(), FAULT),
+                scheme_experiment(kind, config, fault),
             );
             assert_eq!(
                 scheme_tally, legacy_tally,
-                "{kind} tally diverged at {threads} threads"
+                "{case} tally diverged at {threads} threads"
             );
             assert_eq!(
                 scheme_bytes, legacy_bytes,
-                "{kind} checkpoint bytes diverged at {threads} threads"
+                "{case} checkpoint bytes diverged at {threads} threads"
             );
         }
     }
@@ -249,7 +282,7 @@ fn legacy_reference_is_exercised() {
     // masks everything: the 4x4 solid strike must actually separate
     // the schemes (CPPC and interleaved SECDED correct it, 1D parity
     // and single-row 2D parity end in DUE).
-    let (cppc, _) = run_checkpointed("probe_cppc", 1, legacy_cppc);
+    let (cppc, _) = run_checkpointed("probe_cppc", 1, legacy_cppc(CppcConfig::paper(), FAULT));
     let (parity, _) = run_checkpointed("probe_parity", 1, legacy_parity1d);
     assert!(cppc.corrected > 0, "CPPC corrects the 4x4 strike");
     assert_eq!(cppc.sdc, 0);

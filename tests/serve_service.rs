@@ -223,3 +223,53 @@ fn high_priority_overtakes_normal_backlog() {
     }
     daemon.stop();
 }
+
+/// Sends one raw request line and returns the daemon's reply line
+/// (empty when the daemon closed the connection without one).
+fn raw_exchange(socket: &std::path::Path, line: &[u8]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    // The daemon may reply and hang up before it has read a refused
+    // line's tail, so a failed write is not the test's verdict.
+    let _ = stream
+        .write_all(line)
+        .and_then(|()| stream.write_all(b"\n"));
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn hostile_request_lines_get_error_replies_and_the_daemon_survives() {
+    let dir = scratch("hostile_lines");
+    let daemon = Daemon::start(&dir, 8, 2);
+    let _ = daemon.client(); // wait for the socket
+
+    // ~200 KB of nesting: a parse error reply, not a stack overflow.
+    let depth = 100_000;
+    let nested = format!(r#"{{"op":{}{}}}"#, "[".repeat(depth), "]".repeat(depth));
+    let reply = Json::parse(&raw_exchange(&daemon.socket, nested.as_bytes())).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("nesting"), "{error}");
+
+    // A line at the cap is parsed; one byte more is refused unparsed.
+    let at_cap = vec![b'a'; cppc::serve::server::MAX_REQUEST_LINE];
+    let reply = Json::parse(&raw_exchange(&daemon.socket, &at_cap)).unwrap();
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("bad JSON"), "{error}");
+    let long = vec![b'a'; cppc::serve::server::MAX_REQUEST_LINE + 1];
+    let reply = Json::parse(&raw_exchange(&daemon.socket, &long)).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("longer than"), "{error}");
+
+    // The next client is served as usual.
+    let mut client = daemon.client();
+    let id = client
+        .submit("alice", Priority::Normal, sleep_spec(0, 16, 5, 4))
+        .unwrap();
+    let end = client.watch(id, |_| {}).unwrap();
+    assert_eq!(end.get("state").and_then(Json::as_str), Some("done"));
+    daemon.stop();
+}
