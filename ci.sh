@@ -110,6 +110,20 @@ git diff --exit-code -- docs/RESULTS.md || {
     exit 1
 }
 
+echo "== repro whole-book byte identity (every tier, 2 threads)"
+# Re-runs every artifact, the full tier included (the mbe_coverage
+# matrix only runs here), and fails unless the regenerated JSON
+# documents and book are byte-identical to the committed ones. Two
+# threads also pin the campaign engine's thread invariance end to end.
+cargo run -q --release -p cppc-cli --bin cppc-cli -- repro --all --threads 2 > /dev/null
+git diff --exit-code -- docs/results docs/RESULTS.md || {
+    echo "repro --all changed committed results: a model or campaign" \
+         "changed its output; regenerate with" \
+         "'cargo run --release -p cppc-cli -- repro --all --threads 1'" \
+         "only if the change is intended" >&2
+    exit 1
+}
+
 echo "== docs/SCHEMES.md freshness"
 # The scheme catalog is a pure function of the SchemeDescriptors in
 # code plus the committed scheme_comparison document, so regenerating

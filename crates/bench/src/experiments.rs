@@ -13,10 +13,10 @@ use std::time::Duration;
 
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::hierarchy::TwoLevelHierarchy;
-use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
+use cppc_campaign::rng::RngExt;
+use cppc_core::scheme::coverage_trial;
 use cppc_core::{CppcConfig, SchemeKind};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::model::FaultModel;
@@ -85,19 +85,11 @@ pub fn inject_geometry() -> CacheGeometry {
 }
 
 /// The fault-injection experiment behind `cppc-cli campaign --scheme
-/// <name>` and `scheme` service jobs: fill way 0 of a small L1 with
-/// trial-seeded values, strike it with one sampled fault pattern, run
-/// recovery and classify the outcome — for any member of the
-/// protection-scheme zoo behind the `ProtectionScheme` trait.
-///
-/// For the ported schemes this is **bit-identical** to the historical
-/// baked-in closures: the fill order, the RNG draws (one `u64` for the
-/// strike seed — or the two-range draws of interleaved SECDED's
-/// physical-strike translation) and the classification rules are
-/// exactly theirs, so tallies and checkpoint bytes match the
-/// pre-refactor paths (pinned by the `scheme_equivalence` suite).
-/// `config` parameterizes CPPC only; the other schemes use their paper
-/// configurations.
+/// <name>` and `scheme` service jobs: one [`coverage_trial`] per trial
+/// (fill way 0 of [`inject_geometry`] with trial-seeded values, strike
+/// it once, classify the outcome) on a freshly built member of the
+/// protection-scheme zoo. `config` parameterizes CPPC only; the other
+/// schemes use their paper configurations.
 pub fn scheme_experiment(
     kind: SchemeKind,
     config: CppcConfig,
@@ -105,22 +97,8 @@ pub fn scheme_experiment(
 ) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync {
     move |rng, trial| {
         let geo = inject_geometry();
-        let mut mem = MainMemory::new();
         let mut scheme = kind.build(geo, config).expect("validated config");
-        let mut fill = StdRng::seed_from_u64(trial);
-        let mut truth = Vec::new();
-        for set in 0..geo.num_sets() {
-            for word in 0..geo.words_per_block() {
-                let addr = geo.address_of(0, set) + (word * 8) as u64;
-                let v: u64 = fill.random();
-                scheme.write_word(addr, v, &mut mem).expect("no faults yet");
-                truth.push((addr, v));
-            }
-        }
-        if scheme.inject_model(fault, rng) == 0 {
-            return Outcome::Masked;
-        }
-        scheme.classify(&truth, &mut mem)
+        coverage_trial(scheme.as_mut(), geo, fault, rng, trial)
     }
 }
 
@@ -252,6 +230,7 @@ pub fn sleep_experiment(millis: u64) -> impl Fn(&mut StdRng, u64) -> Outcome + S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cppc_campaign::rng::SeedableRng;
     use cppc_fault::campaign::OutcomeTally;
 
     #[test]

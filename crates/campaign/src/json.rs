@@ -154,6 +154,7 @@ impl Json {
     /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -193,6 +194,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -299,11 +301,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-scan as UTF-8 from this byte.
+                    // Decode the one character starting at this byte
+                    // from the already-validated text (O(1)).
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("empty char")?;
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|s| s.chars().next())
+                        .ok_or("invalid UTF-8 in string")?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -460,6 +465,16 @@ mod tests {
     fn unicode_passthrough() {
         let v = Json::parse("\"héllo ☂\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo ☂"));
+    }
+
+    #[test]
+    fn long_non_ascii_string_roundtrips() {
+        // Each non-ASCII character must decode in O(1): a 512 KB value
+        // of them parses in linear time, not in minutes.
+        let original = Json::Str(format!("{}☂", "é".repeat(256 * 1024)));
+        let text = original.to_string_compact();
+        assert!(text.len() >= 512 * 1024);
+        assert_eq!(Json::parse(&text).unwrap(), original);
     }
 
     #[test]

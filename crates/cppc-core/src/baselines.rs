@@ -233,7 +233,7 @@ pub struct SecdedCache {
     inner: Cache,
     check: Vec<u16>,
     layout: PhysicalLayout,
-    interleaving: Option<BitInterleaving>,
+    pub(crate) interleaving: Option<BitInterleaving>,
     corrected: u64,
     dues: u64,
     rmw_reads: u64,

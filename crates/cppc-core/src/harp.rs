@@ -31,7 +31,7 @@ use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::FaultPattern;
 
 use crate::baselines::SecdedCache;
-use crate::scheme::{ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeOps};
+use crate::scheme::{load_all, ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeOps};
 
 /// Descriptor for [`HarpOdeccScheme`] (`--scheme harp-odecc`).
 pub static HARP_ODECC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
@@ -117,10 +117,6 @@ impl HarpOdeccScheme {
 }
 
 impl ProtectionScheme for HarpOdeccScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &HARP_ODECC_DESCRIPTOR
-    }
-
     fn write_word(
         &mut self,
         addr: u64,
@@ -162,14 +158,7 @@ impl ProtectionScheme for HarpOdeccScheme {
         // are repaired from the write-through copy instead of ending
         // the run as DUEs.
         self.profile(mem);
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
+        load_all(truth, |addr| self.inner.load_word(addr, mem))
     }
 
     fn ops(&self) -> SchemeOps {

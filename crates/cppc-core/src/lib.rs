@@ -18,7 +18,8 @@
 //!   parity.
 //! * [`scheme`] — the pluggable [`scheme::ProtectionScheme`] trait and
 //!   [`scheme::SchemeKind`] selector the campaign drivers parameterize
-//!   over, with CPPC and the baselines ported onto it.
+//!   over (CPPC and the baselines implement it directly), and
+//!   [`scheme::coverage_trial`], the one fill→strike→classify trial.
 //! * [`silent`], [`harp`] — the related-work zoo: silent-write-aware
 //!   low-power ECC and HARP-style on-die ECC with error profiling.
 //!

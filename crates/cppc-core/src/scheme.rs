@@ -29,27 +29,33 @@
 //!   read-modify-writes, read-before-writes) and
 //!   [`ProtectionScheme::cache_stats`] the generic traffic counters
 //!   the area/energy models consume.
-//! * **self-description** — [`ProtectionScheme::descriptor`] returns
-//!   static name/geometry/overhead metadata; the `schemes-md`
+//! * **self-description** — [`SchemeKind::descriptor`] returns each
+//!   scheme's static name/geometry/overhead metadata; the `schemes-md`
 //!   generator renders `docs/SCHEMES.md` from exactly these
 //!   descriptors.
 //!
-//! The four ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
-//! `parity2d`) reproduce the historical baked-in campaign closures
-//! **bit for bit**: they consume the trial RNG stream in the same
-//! order and classify with the same rules, so campaign tallies and
-//! checkpoint bytes are identical to the pre-refactor paths (the
-//! `scheme_equivalence` integration suite pins this at 1, 2 and 8
-//! threads). The zoo's two related-work additions live in
+//! The paper's four caches are schemes themselves: [`CppcCache`],
+//! [`OneDimParityCache`], [`SecdedCache`] and [`TwoDimParityCache`]
+//! implement the trait directly, and [`SchemeKind::build`] boxes them
+//! with the paper's parameters. The zoo's two related-work additions
+//! add behaviour on top of a cache, so they keep structs of their own:
 //! [`crate::silent`] (silent-write-aware ECC) and [`crate::harp`]
 //! (HARP-style on-die ECC with an error-profiling pass).
+//!
+//! [`coverage_trial`] is the one fill→strike→classify trial every
+//! coverage campaign runs. For the four paper caches it reproduces the
+//! historical baked-in campaign closures **bit for bit** — same RNG
+//! draw order, same classification rules — so campaign tallies and
+//! checkpoint bytes match the pre-refactor paths (the
+//! `scheme_equivalence` integration suite pins this at 1, 2 and 8
+//! threads).
 
 use cppc_cache_sim::geometry::CacheGeometry;
 use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
 use cppc_cache_sim::stats::CacheStats;
 use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::RngExt;
+use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_fault::campaign::Outcome;
 use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::{FaultGenerator, FaultModel, FaultPattern};
@@ -161,15 +167,12 @@ pub struct SchemeOps {
 
 /// One protected cache in the zoo, as a campaign sees it.
 ///
-/// Implementations wrap a concrete protected cache over the shared
-/// `cppc-cache-sim` substrate; the trait is object-safe so campaign
-/// drivers hold a `Box<dyn ProtectionScheme>` built by
-/// [`SchemeKind::build`].
+/// The paper's four caches ([`CppcCache`], [`OneDimParityCache`],
+/// [`SecdedCache`], [`TwoDimParityCache`]) implement it directly; the
+/// related-work schemes wrap a [`SecdedCache`] with behaviour of their
+/// own. The trait is object-safe so campaign drivers hold a
+/// `Box<dyn ProtectionScheme>` built by [`SchemeKind::build`].
 pub trait ProtectionScheme {
-    /// Static name/geometry/overhead metadata (the `docs/SCHEMES.md`
-    /// source of truth).
-    fn descriptor(&self) -> &'static SchemeDescriptor;
-
     /// The per-write callback: store `value` at `addr`, refreshing the
     /// scheme's code (and running any scheme-specific write plumbing —
     /// CPPC's R1 XOR fold, 2D parity's read-before-write).
@@ -225,10 +228,7 @@ pub trait ProtectionScheme {
     /// interleaved SECDED translates the model into a physical strike
     /// on its 8-way interleaved array.
     fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
-        let rows = self.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        self.inject(&pattern)
+        inject_logical_rows(self, model, rng)
     }
 
     /// Runs the scheme's whole-array recovery procedure and grades the
@@ -331,10 +331,10 @@ impl SchemeKind {
         register_metrics();
         let policy = ReplacementPolicy::Lru;
         Ok(match self {
-            SchemeKind::Cppc => Box::new(CppcScheme::new(geo, config, policy)?),
-            SchemeKind::Parity1d => Box::new(Parity1dScheme::new(geo, policy)),
-            SchemeKind::SecdedInterleaved => Box::new(SecdedInterleavedScheme::new(geo, policy)),
-            SchemeKind::Parity2d => Box::new(Parity2dScheme::new(geo, policy)),
+            SchemeKind::Cppc => Box::new(CppcCache::new_l1(geo, config, policy)?),
+            SchemeKind::Parity1d => Box::new(OneDimParityCache::new(geo, 8, policy)),
+            SchemeKind::SecdedInterleaved => Box::new(SecdedCache::new(geo, true, policy)),
+            SchemeKind::Parity2d => Box::new(TwoDimParityCache::new(geo, 1, policy)),
             SchemeKind::SilentWriteEcc => {
                 Box::new(crate::silent::SilentWriteEccScheme::new(geo, policy))
             }
@@ -349,8 +349,84 @@ impl fmt::Display for SchemeKind {
     }
 }
 
+/// The trait's default strike: a logical-row pattern over the way-0
+/// half of the array, seeded by exactly one `u64` from `rng`.
+fn inject_logical_rows<S: ProtectionScheme + ?Sized>(
+    scheme: &mut S,
+    model: FaultModel,
+    rng: &mut StdRng,
+) -> usize {
+    let rows = scheme.layout().num_rows() / 2;
+    let mut generator = FaultGenerator::new(rows, rng.random());
+    let pattern = generator.sample(model);
+    scheme.inject(&pattern)
+}
+
+/// One coverage trial — the protocol every fill→strike→classify
+/// campaign runs: fill way 0 of `geo` with values drawn from
+/// `StdRng::seed_from_u64(trial)`, strike once with `fault` via
+/// [`ProtectionScheme::inject_model`] (drawing from `rng`), and grade
+/// the outcome — [`Outcome::Masked`] when no flip landed, otherwise
+/// [`ProtectionScheme::classify`] against the filled values.
+///
+/// `scheme` must be freshly built over `geo`.
+///
+/// # Panics
+///
+/// Panics if the fault-free fill reports a fault.
+pub fn coverage_trial(
+    scheme: &mut dyn ProtectionScheme,
+    geo: CacheGeometry,
+    fault: FaultModel,
+    rng: &mut StdRng,
+    trial: u64,
+) -> Outcome {
+    let mut mem = MainMemory::new();
+    let mut fill = StdRng::seed_from_u64(trial);
+    let mut truth = Vec::with_capacity(geo.num_sets() * geo.words_per_block());
+    for set in 0..geo.num_sets() {
+        for word in 0..geo.words_per_block() {
+            let addr = geo.address_of(0, set) + (word * 8) as u64;
+            let v: u64 = fill.random();
+            scheme.write_word(addr, v, &mut mem).expect("no faults yet");
+            truth.push((addr, v));
+        }
+    }
+    if scheme.inject_model(fault, rng) == 0 {
+        return Outcome::Masked;
+    }
+    scheme.classify(&truth, &mut mem)
+}
+
+/// Grades an array read back through its check/correct path: DUE on
+/// the first refused load, SDC on the first wrong value, otherwise
+/// Corrected.
+pub(crate) fn load_all<E>(
+    truth: &[(u64, u64)],
+    mut load: impl FnMut(u64) -> Result<u64, E>,
+) -> Outcome {
+    for &(addr, v) in truth {
+        match load(addr) {
+            Err(_) => return Outcome::DetectedUnrecoverable,
+            Ok(got) if got != v => return Outcome::SilentCorruption,
+            Ok(_) => {}
+        }
+    }
+    Outcome::Corrected
+}
+
+/// Grades a recovered array without side effects: SDC if any word of
+/// `truth` is missing or wrong, otherwise Corrected.
+fn verify_resident(truth: &[(u64, u64)], peek: impl Fn(u64) -> Option<u64>) -> Outcome {
+    if truth.iter().all(|&(addr, v)| peek(addr) == Some(v)) {
+        Outcome::Corrected
+    } else {
+        Outcome::SilentCorruption
+    }
+}
+
 // ======================================================================
-// The four ported schemes
+// The paper's four schemes
 // ======================================================================
 
 static CPPC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
@@ -420,80 +496,50 @@ static PARITY2D_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
     correction: "any single faulty row per vertical parity group",
 };
 
-/// CPPC behind the trait: delegates to [`CppcCache`] (L1 variant).
-pub struct CppcScheme {
-    inner: CppcCache,
-}
+// The impls below call the caches' inherent methods of the same name
+// (`peek_word`, `layout`, `flush`, `inject`, `cache_stats`): inherent
+// methods take precedence over trait methods, so none of them recurse.
 
-impl CppcScheme {
-    /// Builds an L1 CPPC with `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when `config` is invalid.
-    pub fn new(
-        geo: CacheGeometry,
-        config: CppcConfig,
-        policy: ReplacementPolicy,
-    ) -> Result<Self, ConfigError> {
-        Ok(CppcScheme {
-            inner: CppcCache::new_l1(geo, config, policy)?,
-        })
-    }
-}
-
-impl ProtectionScheme for CppcScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &CPPC_DESCRIPTOR
-    }
-
+/// CPPC (the L1 variant built by [`SchemeKind::build`]).
+impl ProtectionScheme for CppcCache {
     fn write_word(
         &mut self,
         addr: u64,
         value: u64,
         mem: &mut MainMemory,
     ) -> Result<(), SchemeFault> {
-        self.inner
-            .store_word(addr, value, mem)
-            .map_err(SchemeFault::from)
+        self.store_word(addr, value, mem).map_err(SchemeFault::from)
     }
 
     fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
+        self.load_word(addr, mem).map_err(SchemeFault::from)
     }
 
     fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
+        self.peek_word(addr)
     }
 
     fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
+        self.layout()
     }
 
     fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem).map(|_| ()).map_err(SchemeFault::from)
+        self.flush(mem).map_err(SchemeFault::from)
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
+        self.inject(pattern)
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        match self.inner.recover_all(mem) {
+        match self.recover_all(mem) {
             Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                for &(addr, v) in truth {
-                    if self.inner.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
+            Ok(_) => verify_resident(truth, |addr| self.peek_word(addr)),
         }
     }
 
     fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
+        let stats = self.cache_stats();
         SchemeOps {
             writes: stats.store_hits + stats.fills,
             read_before_writes: stats.stores_to_dirty,
@@ -502,144 +548,107 @@ impl ProtectionScheme for CppcScheme {
     }
 
     fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
+        self.cache_stats()
     }
 }
 
-/// 1D parity behind the trait: delegates to [`OneDimParityCache`]
-/// (8-way parity, the paper configuration).
-pub struct Parity1dScheme {
-    inner: OneDimParityCache,
-}
-
-impl Parity1dScheme {
-    /// Builds the cache with the paper's 8-way interleaved parity.
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Parity1dScheme {
-            inner: OneDimParityCache::new(geo, 8, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for Parity1dScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &PARITY1D_DESCRIPTOR
-    }
-
+/// 1D parity (8-way in the paper configuration).
+impl ProtectionScheme for OneDimParityCache {
     fn write_word(
         &mut self,
         addr: u64,
         value: u64,
         mem: &mut MainMemory,
     ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
+        self.store_word(addr, value, mem);
         Ok(())
     }
 
     fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
+        self.load_word(addr, mem).map_err(SchemeFault::from)
     }
 
     fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
+        self.peek_word(addr)
     }
 
     fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
+        self.layout()
     }
 
     fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
+        self.flush(mem);
         Ok(())
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
+        self.inject(pattern)
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
+        match load_all(truth, |addr| self.load_word(addr, mem)) {
+            // Every flipped bit was hidden by even flips per parity
+            // group: harmless this time — masked by parity blindness.
+            Outcome::Corrected => Outcome::Masked,
+            other => other,
         }
-        // Every flipped bit was hidden by even flips per parity group:
-        // harmless this time — masked by parity blindness.
-        Outcome::Masked
     }
 
     fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
+        let stats = self.cache_stats();
         SchemeOps {
             writes: stats.store_hits + stats.fills,
-            corrected: self.inner.corrected_clean(),
-            dues: self.inner.dues(),
+            corrected: self.corrected_clean(),
+            dues: self.dues(),
             ..SchemeOps::default()
         }
     }
 
     fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
+        self.cache_stats()
     }
 }
 
-/// Interleaved SECDED behind the trait: delegates to [`SecdedCache`]
-/// with 8-way physical bit interleaving.
-pub struct SecdedInterleavedScheme {
-    inner: SecdedCache,
-}
-
-impl SecdedInterleavedScheme {
-    /// Builds the cache with 8-way physical interleaving.
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        SecdedInterleavedScheme {
-            inner: SecdedCache::new(geo, true, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for SecdedInterleavedScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &SECDED_DESCRIPTOR
-    }
-
+/// SECDED per word; with physical interleaving (the paper's baseline,
+/// built by [`SchemeKind::build`]) model strikes land on the
+/// interleaved array.
+impl ProtectionScheme for SecdedCache {
     fn write_word(
         &mut self,
         addr: u64,
         value: u64,
         mem: &mut MainMemory,
     ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
+        self.store_word(addr, value, mem);
         Ok(())
     }
 
     fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
+        self.load_word(addr, mem).map_err(SchemeFault::from)
     }
 
     fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
+        self.peek_word(addr)
     }
 
     fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
+        self.layout()
     }
 
     fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
+        self.flush(mem);
         Ok(())
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
+        self.inject(pattern)
     }
 
     fn inject_model(&mut self, model: FaultModel, rng: &mut StdRng) -> usize {
-        let logical_rows = self.inner.layout().num_rows() / 2;
+        if self.interleaving.is_none() {
+            return inject_logical_rows(self, model, rng);
+        }
+        let logical_rows = self.layout().num_rows() / 2;
         // Translate the fault model into a physical strike on the
         // interleaved array (8 logical rows per physical row) — the
         // same translation (and RNG draw order) as the historical
@@ -654,123 +663,89 @@ impl ProtectionScheme for SecdedInterleavedScheme {
         let prows = rows.div_ceil(8).max(1).min(physical_rows);
         let row0 = rng.random_range(0..=(physical_rows - prows));
         let col0 = rng.random_range(0..=(512 - cols));
-        self.inner.inject_spatial(row0, col0, prows, cols).len()
+        self.inject_spatial(row0, col0, prows, cols).len()
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
+        load_all(truth, |addr| self.load_word(addr, mem))
     }
 
     fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
+        let stats = self.cache_stats();
         SchemeOps {
             writes: stats.store_hits + stats.fills,
-            rmw_reads: self.inner.rmw_reads(),
-            corrected: self.inner.corrected(),
-            dues: self.inner.dues(),
+            rmw_reads: self.rmw_reads(),
+            corrected: self.corrected(),
+            dues: self.dues(),
             ..SchemeOps::default()
         }
     }
 
     fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
+        self.cache_stats()
     }
 }
 
-/// 2D parity behind the trait: delegates to [`TwoDimParityCache`]
-/// with the paper's single vertical parity row.
-pub struct Parity2dScheme {
-    inner: TwoDimParityCache,
-}
-
-impl Parity2dScheme {
-    /// Builds the cache with one vertical parity row (the paper's
-    /// evaluated configuration).
-    #[must_use]
-    pub fn new(geo: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Parity2dScheme {
-            inner: TwoDimParityCache::new(geo, 1, policy),
-        }
-    }
-}
-
-impl ProtectionScheme for Parity2dScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &PARITY2D_DESCRIPTOR
-    }
-
+/// 2D parity (one vertical row in the paper's evaluated
+/// configuration).
+impl ProtectionScheme for TwoDimParityCache {
     fn write_word(
         &mut self,
         addr: u64,
         value: u64,
         mem: &mut MainMemory,
     ) -> Result<(), SchemeFault> {
-        self.inner.store_word(addr, value, mem);
+        self.store_word(addr, value, mem);
         Ok(())
     }
 
     fn read_word(&mut self, addr: u64, mem: &mut MainMemory) -> Result<u64, SchemeFault> {
-        self.inner.load_word(addr, mem).map_err(SchemeFault::from)
+        self.load_word(addr, mem).map_err(SchemeFault::from)
     }
 
     fn peek_word(&self, addr: u64) -> Option<u64> {
-        self.inner.peek_word(addr)
+        self.peek_word(addr)
     }
 
     fn layout(&self) -> &PhysicalLayout {
-        self.inner.layout()
+        self.layout()
     }
 
     fn flush(&mut self, mem: &mut MainMemory) -> Result<(), SchemeFault> {
-        self.inner.flush(mem);
+        self.flush(mem);
         Ok(())
     }
 
     fn inject(&mut self, pattern: &FaultPattern) -> usize {
-        self.inner.inject(pattern)
+        self.inject(pattern)
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], _mem: &mut MainMemory) -> Outcome {
-        match self.inner.recover_all() {
+        match self.recover_all() {
             Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(()) => {
-                for &(addr, v) in truth {
-                    if self.inner.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
+            Ok(()) => verify_resident(truth, |addr| self.peek_word(addr)),
         }
     }
 
     fn ops(&self) -> SchemeOps {
-        let stats = self.inner.cache_stats();
+        let stats = self.cache_stats();
         SchemeOps {
             writes: stats.store_hits + stats.fills,
-            read_before_writes: self.inner.read_before_writes(),
-            corrected: self.inner.corrected(),
-            dues: self.inner.dues(),
+            read_before_writes: self.read_before_writes(),
+            corrected: self.corrected(),
+            dues: self.dues(),
             ..SchemeOps::default()
         }
     }
 
     fn cache_stats(&self) -> &CacheStats {
-        self.inner.cache_stats()
+        self.cache_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cppc_campaign::rng::SeedableRng;
 
     fn geometry() -> CacheGeometry {
         CacheGeometry::new(2048, 2, 32).unwrap()

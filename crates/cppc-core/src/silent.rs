@@ -32,7 +32,7 @@ use cppc_fault::layout::PhysicalLayout;
 use cppc_fault::model::FaultPattern;
 
 use crate::baselines::SecdedCache;
-use crate::scheme::{ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeOps};
+use crate::scheme::{load_all, ProtectionScheme, SchemeDescriptor, SchemeFault, SchemeOps};
 
 /// Descriptor for [`SilentWriteEccScheme`] (`--scheme silent-write-ecc`).
 pub static SILENT_WRITE_ECC_DESCRIPTOR: SchemeDescriptor = SchemeDescriptor {
@@ -78,10 +78,6 @@ impl SilentWriteEccScheme {
 }
 
 impl ProtectionScheme for SilentWriteEccScheme {
-    fn descriptor(&self) -> &'static SchemeDescriptor {
-        &SILENT_WRITE_ECC_DESCRIPTOR
-    }
-
     fn write_word(
         &mut self,
         addr: u64,
@@ -123,14 +119,7 @@ impl ProtectionScheme for SilentWriteEccScheme {
     }
 
     fn classify(&mut self, truth: &[(u64, u64)], mem: &mut MainMemory) -> Outcome {
-        for &(addr, v) in truth {
-            match self.inner.load_word(addr, mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
+        load_all(truth, |addr| self.inner.load_word(addr, mem))
     }
 
     fn ops(&self) -> SchemeOps {

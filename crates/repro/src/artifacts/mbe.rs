@@ -8,19 +8,16 @@
 //! correcting everything inside its 8-wide budget.
 
 use cppc_cache_sim::geometry::CacheGeometry;
-use cppc_cache_sim::memory::MainMemory;
 use cppc_cache_sim::replacement::ReplacementPolicy;
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
-use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
-use cppc_core::{CppcCache, CppcConfig};
-use cppc_fault::campaign::{Campaign, Outcome, OutcomeTally};
-use cppc_fault::model::{FaultGenerator, FaultModel};
+use cppc_core::baselines::TwoDimParityCache;
+use cppc_core::scheme::coverage_trial;
+use cppc_core::{CppcConfig, ProtectionScheme, SchemeKind};
+use cppc_fault::campaign::{Campaign, OutcomeTally};
+use cppc_fault::model::FaultModel;
 
 use crate::artifact::{Artifact, ArtifactOutput, MetricValue, RunConfig, Table, Tier, Tolerance};
 
-/// Campaign seed (shared with the historical `mbe_coverage` binary so
-/// tallies stay comparable).
+/// Campaign seed.
 const SEED: u64 = 0xC0DE;
 /// Trials per (scheme, fault) cell.
 const TRIALS: u64 = 200;
@@ -74,21 +71,6 @@ fn geometry() -> CacheGeometry {
     CacheGeometry::new(2048, 2, 32).unwrap()
 }
 
-/// Ground truth: addresses of way-0 rows and their stored values.
-fn oracle(seed: u64) -> Vec<(u64, u64)> {
-    let geo = geometry();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rows = geo.num_sets() * geo.words_per_block();
-    (0..rows)
-        .map(|row| {
-            let set = row / geo.words_per_block();
-            let word = row % geo.words_per_block();
-            let addr = geo.address_of(0, set) + (word * 8) as u64;
-            (addr, rng.random())
-        })
-        .collect()
-}
-
 fn fault_models() -> Vec<(&'static str, FaultModel)> {
     vec![
         ("single bit", FaultModel::TemporalSingleBit),
@@ -121,127 +103,24 @@ fn fault_models() -> Vec<(&'static str, FaultModel)> {
     ]
 }
 
-fn run_cppc(config: CppcConfig, model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = CppcCache::new_l1(geometry(), config, ReplacementPolicy::Lru).unwrap();
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem).unwrap();
-        }
-        let rows = cache.layout().num_rows() / 2; // way-0 rows only
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all(&mut mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                for &(addr, v) in &truth {
-                    if cache.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
-    })
+/// Builds one matrix row's scheme over the coverage geometry.
+type SchemeBuilder = fn(CacheGeometry) -> Box<dyn ProtectionScheme>;
+
+/// `kind` at its paper configuration (CPPC: one register pair).
+fn paper(kind: SchemeKind, geo: CacheGeometry) -> Box<dyn ProtectionScheme> {
+    kind.build(geo, CppcConfig::paper()).expect("valid config")
 }
 
-fn run_parity(model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = OneDimParityCache::new(geometry(), 8, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let rows = cache.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        for &(addr, v) in &truth {
-            match cache.load_word(addr, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        // Every flipped bit was hidden by even flips per parity group:
-        // harmless this time — masked by parity blindness.
-        Outcome::Masked
-    })
+fn cppc(config: CppcConfig, geo: CacheGeometry) -> Box<dyn ProtectionScheme> {
+    SchemeKind::Cppc.build(geo, config).expect("valid config")
 }
 
-fn run_secded(model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
+/// One matrix cell: a [`coverage_trial`] campaign of `build`'s scheme
+/// against `model`.
+fn campaign(build: SchemeBuilder, model: FaultModel, trials: u64, threads: usize) -> OutcomeTally {
     Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = SecdedCache::new(geometry(), true, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let logical_rows = cache.layout().num_rows() / 2;
-        // Translate the fault model into a physical strike on the
-        // interleaved array (8 logical rows per physical row).
-        let (rows, cols) = match model {
-            FaultModel::TemporalSingleBit | FaultModel::TemporalMultiBit { .. } => (1, 1),
-            FaultModel::VerticalStripe { rows } => (rows, 1),
-            FaultModel::HorizontalBurst { cols } => (1, cols),
-            FaultModel::SpatialSquare { rows, cols, .. } => (rows, cols),
-        };
-        let physical_rows = logical_rows / 8;
-        let prows = rows.div_ceil(8).max(1).min(physical_rows);
-        let row0 = rng.random_range(0..=(physical_rows - prows));
-        let col0 = rng.random_range(0..=(512 - cols));
-        let flips = cache.inject_spatial(row0, col0, prows, cols);
-        if flips.is_empty() {
-            return Outcome::Masked;
-        }
-        for &(addr, v) in &truth {
-            match cache.load_word(addr, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Corrected
-    })
-}
-
-fn run_twodim(
-    vertical_rows: usize,
-    model: FaultModel,
-    trials: u64,
-    threads: usize,
-) -> OutcomeTally {
-    Campaign::new(SEED).run_parallel(trials, threads, move |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = TwoDimParityCache::new(geometry(), vertical_rows, ReplacementPolicy::Lru);
-        let truth = oracle(trial);
-        for &(addr, v) in &truth {
-            cache.store_word(addr, v, &mut mem);
-        }
-        let rows = cache.layout().num_rows() / 2;
-        let mut generator = FaultGenerator::new(rows, rng.random());
-        let pattern = generator.sample(model);
-        if cache.inject(&pattern) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all() {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(()) => {
-                for &(addr, v) in &truth {
-                    if cache.peek_word(addr) != Some(v) {
-                        return Outcome::SilentCorruption;
-                    }
-                }
-                Outcome::Corrected
-            }
-        }
+        let geo = geometry();
+        coverage_trial(build(geo).as_mut(), geo, model, rng, trial)
     })
 }
 
@@ -249,42 +128,22 @@ fn pct(n: u64, tally: &OutcomeTally) -> f64 {
     n as f64 / tally.total() as f64 * 100.0
 }
 
-/// One protection scheme's campaign, ready to run against a fault model.
-type SchemeRunner = Box<dyn Fn(FaultModel) -> OutcomeTally>;
-
 fn run(cfg: &RunConfig) -> ArtifactOutput {
     let trials = cfg.pick(TRIALS, TRIALS_QUICK);
     let threads = cfg.threads;
 
-    let schemes: Vec<(&str, SchemeRunner)> = vec![
-        (
-            "1D parity",
-            Box::new(move |m| run_parity(m, trials, threads)),
-        ),
-        (
-            "SECDED+interleave",
-            Box::new(move |m| run_secded(m, trials, threads)),
-        ),
-        (
-            "CPPC 1 pair",
-            Box::new(move |m| run_cppc(CppcConfig::paper(), m, trials, threads)),
-        ),
-        (
-            "CPPC 2 pairs",
-            Box::new(move |m| run_cppc(CppcConfig::two_pairs(), m, trials, threads)),
-        ),
-        (
-            "CPPC 8 pairs",
-            Box::new(move |m| run_cppc(CppcConfig::eight_pairs(), m, trials, threads)),
-        ),
-        (
-            "2D parity (1 row)",
-            Box::new(move |m| run_twodim(1, m, trials, threads)),
-        ),
-        (
-            "2D parity (8 rows)",
-            Box::new(move |m| run_twodim(8, m, trials, threads)),
-        ),
+    let schemes: [(&str, SchemeBuilder); 7] = [
+        ("1D parity", |geo| paper(SchemeKind::Parity1d, geo)),
+        ("SECDED+interleave", |geo| {
+            paper(SchemeKind::SecdedInterleaved, geo)
+        }),
+        ("CPPC 1 pair", |geo| cppc(CppcConfig::paper(), geo)),
+        ("CPPC 2 pairs", |geo| cppc(CppcConfig::two_pairs(), geo)),
+        ("CPPC 8 pairs", |geo| cppc(CppcConfig::eight_pairs(), geo)),
+        ("2D parity (1 row)", |geo| paper(SchemeKind::Parity2d, geo)),
+        ("2D parity (8 rows)", |geo| {
+            Box::new(TwoDimParityCache::new(geo, 8, ReplacementPolicy::Lru))
+        }),
     ];
 
     let mut tables = Vec::new();
@@ -293,11 +152,11 @@ fn run(cfg: &RunConfig) -> ArtifactOutput {
     let mut cells: Vec<(&str, &str, OutcomeTally)> = Vec::new();
     for (fault_name, model) in fault_models() {
         let mut rows = Vec::new();
-        for (scheme_name, runner) in &schemes {
-            let tally = runner(model);
+        for &(scheme_name, build) in &schemes {
+            let tally = campaign(build, model, trials, threads);
             sdc_total += tally.sdc;
             rows.push(vec![
-                (*scheme_name).to_string(),
+                scheme_name.to_string(),
                 format!("{:.1}", pct(tally.corrected, &tally)),
                 format!("{:.1}", pct(tally.due, &tally)),
                 format!("{:.1}", pct(tally.sdc, &tally)),

@@ -3,84 +3,22 @@
 //!
 //! Run with `cargo run --release --example fault_campaign [trials]`.
 
-use cppc::cache_sim::{CacheGeometry, MainMemory, ReplacementPolicy};
-use cppc::core::baselines::OneDimParityCache;
-use cppc::core::{CppcCache, CppcConfig};
-use cppc::fault::campaign::{Campaign, Outcome, OutcomeTally};
-use cppc::fault::model::{FaultGenerator, FaultModel};
-use cppc_campaign::rng::rngs::StdRng;
-use cppc_campaign::rng::{RngExt, SeedableRng};
+use cppc::cache_sim::CacheGeometry;
+use cppc::core::scheme::coverage_trial;
+use cppc::core::{CppcConfig, SchemeKind};
+use cppc::fault::campaign::{Campaign, OutcomeTally};
+use cppc::fault::model::FaultModel;
 
 fn geometry() -> CacheGeometry {
     CacheGeometry::new(4096, 2, 32).expect("valid geometry")
 }
 
-/// Fills way 0 with dirty random data and returns the ground truth.
-fn fill_dirty(cache: &mut CppcCache, mem: &mut MainMemory, seed: u64) -> Vec<(u64, u64)> {
-    let geo = *cache.geometry();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut truth = Vec::new();
-    for set in 0..geo.num_sets() {
-        for word in 0..geo.words_per_block() {
-            let addr = geo.address_of(0, set) + (word * 8) as u64;
-            let v: u64 = rng.random();
-            cache.store_word(addr, v, mem).expect("no faults yet");
-            truth.push((addr, v));
-        }
-    }
-    truth
-}
-
-fn campaign_cppc(config: CppcConfig, model: FaultModel, trials: u64) -> OutcomeTally {
+/// Runs `trials` coverage trials (fill way 0 dirty, strike once,
+/// recover and classify) of `kind` under `config` against `model`.
+fn campaign(kind: SchemeKind, config: CppcConfig, model: FaultModel, trials: u64) -> OutcomeTally {
     Campaign::new(0xFA11).run(trials, |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache =
-            CppcCache::new_l1(geometry(), config, ReplacementPolicy::Lru).expect("valid config");
-        let truth = fill_dirty(&mut cache, &mut mem, trial);
-        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-        if cache.inject(&generator.sample(model)) == 0 {
-            return Outcome::Masked;
-        }
-        match cache.recover_all(&mut mem) {
-            Err(_) => Outcome::DetectedUnrecoverable,
-            Ok(_) => {
-                if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
-                    Outcome::Corrected
-                } else {
-                    Outcome::SilentCorruption
-                }
-            }
-        }
-    })
-}
-
-fn campaign_parity(model: FaultModel, trials: u64) -> OutcomeTally {
-    Campaign::new(0xFA11).run(trials, |rng, trial| {
-        let mut mem = MainMemory::new();
-        let mut cache = OneDimParityCache::new(geometry(), 8, ReplacementPolicy::Lru);
-        let mut rng_fill = StdRng::seed_from_u64(trial);
-        let geo = geometry();
-        let mut truth = Vec::new();
-        for set in 0..geo.num_sets() {
-            for word in 0..geo.words_per_block() {
-                let addr = geo.address_of(0, set) + (word * 8) as u64;
-                let v: u64 = rng_fill.random();
-                cache.store_word(addr, v, &mut mem);
-                truth.push((addr, v));
-            }
-        }
-        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-        if cache.inject(&generator.sample(model)) == 0 {
-            return Outcome::Masked;
-        }
-        for &(a, v) in &truth {
-            match cache.load_word(a, &mut mem) {
-                Err(_) => return Outcome::DetectedUnrecoverable,
-                Ok(got) if got != v => return Outcome::SilentCorruption,
-                Ok(_) => {}
-            }
-        }
-        Outcome::Masked
+        let mut scheme = kind.build(geometry(), config).expect("valid config");
+        coverage_trial(scheme.as_mut(), geometry(), model, rng, trial)
     })
 }
 
@@ -120,22 +58,25 @@ fn main() {
         ),
     ] {
         println!("{name}:");
-        report("1D parity", &campaign_parity(model, trials));
+        report(
+            "1D parity",
+            &campaign(SchemeKind::Parity1d, CppcConfig::paper(), model, trials),
+        );
         report(
             "CPPC basic (1b parity)",
-            &campaign_cppc(CppcConfig::basic(), model, trials),
+            &campaign(SchemeKind::Cppc, CppcConfig::basic(), model, trials),
         );
         report(
             "CPPC paper (1 pair)",
-            &campaign_cppc(CppcConfig::paper(), model, trials),
+            &campaign(SchemeKind::Cppc, CppcConfig::paper(), model, trials),
         );
         report(
             "CPPC 2 pairs",
-            &campaign_cppc(CppcConfig::two_pairs(), model, trials),
+            &campaign(SchemeKind::Cppc, CppcConfig::two_pairs(), model, trials),
         );
         report(
             "CPPC 8 pairs",
-            &campaign_cppc(CppcConfig::eight_pairs(), model, trials),
+            &campaign(SchemeKind::Cppc, CppcConfig::eight_pairs(), model, trials),
         );
         println!();
     }

@@ -1,16 +1,18 @@
-//! Golden equivalence for the `ProtectionScheme` refactor: the four
-//! ported schemes (`cppc`, `parity1d`, `secded-interleaved`,
-//! `parity2d`) must reproduce the historical baked-in campaign
-//! closures **bit for bit** — same tallies, same checkpoint bytes — at
-//! 1, 2 and 8 threads. CPPC is pinned under every configuration x
-//! fault model, since `--scheme cppc` is the only CPPC campaign path.
+//! Golden equivalence for the `ProtectionScheme` trial protocol: the
+//! four paper schemes (`cppc`, `parity1d`, `secded-interleaved`,
+//! `parity2d`, plus 2D parity with 8 vertical rows) must reproduce the
+//! historical baked-in campaign closures **bit for bit** — same
+//! tallies, same checkpoint bytes — at 1, 2 and 8 threads. CPPC is
+//! pinned under every configuration x fault model, since `--scheme
+//! cppc` is the only CPPC campaign path. The two related-work schemes,
+//! which have no historical closure, are pinned to golden tallies.
 //!
 //! The "legacy" closures below are the pre-refactor campaign bodies,
 //! kept inline here as the frozen reference: each drives the concrete
 //! cache type directly (no trait), fills way 0 from the trial-seeded
 //! RNG, strikes with the model's historical draw order (one `u64`
 //! strike seed — or interleaved SECDED's two physical-range draws) and
-//! classifies with the historical rules. If a scheme wrapper ever
+//! classifies with the historical rules. If a scheme impl ever
 //! consumes the RNG stream differently or reorders a classification
 //! branch, these tests fail.
 
@@ -23,6 +25,7 @@ use cppc_campaign::rng::rngs::StdRng;
 use cppc_campaign::rng::{RngExt, SeedableRng};
 use cppc_campaign::{run, run_resumable, CampaignConfig, CheckpointPolicy};
 use cppc_core::baselines::{OneDimParityCache, SecdedCache, TwoDimParityCache};
+use cppc_core::scheme::coverage_trial;
 use cppc_core::{CppcCache, CppcConfig, SchemeKind};
 use cppc_fault::campaign::{Outcome, OutcomeTally};
 use cppc_fault::model::{FaultGenerator, FaultModel};
@@ -132,22 +135,27 @@ fn legacy_secded(rng: &mut StdRng, trial: u64) -> Outcome {
     Outcome::Corrected
 }
 
-/// Pre-refactor 2D-parity campaign body (one vertical row).
-fn legacy_parity2d(rng: &mut StdRng, trial: u64) -> Outcome {
-    let mut mem = MainMemory::new();
-    let mut cache = TwoDimParityCache::new(inject_geometry(), 1, ReplacementPolicy::Lru);
-    let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
-    let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
-    if cache.inject(&generator.sample(FAULT)) == 0 {
-        return Outcome::Masked;
-    }
-    match cache.recover_all() {
-        Err(_) => Outcome::DetectedUnrecoverable,
-        Ok(()) => {
-            if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
-                Outcome::Corrected
-            } else {
-                Outcome::SilentCorruption
+/// Pre-refactor 2D-parity campaign body with `vertical_rows` vertical
+/// parity rows (1 for `--scheme parity2d`, 8 for the coverage
+/// matrix's second 2D-parity row).
+fn legacy_parity2d(vertical_rows: usize) -> impl Fn(&mut StdRng, u64) -> Outcome + Sync {
+    move |rng, trial| {
+        let mut mem = MainMemory::new();
+        let mut cache =
+            TwoDimParityCache::new(inject_geometry(), vertical_rows, ReplacementPolicy::Lru);
+        let truth = fill(trial, |a, v| cache.store_word(a, v, &mut mem));
+        let mut generator = FaultGenerator::new(cache.layout().num_rows() / 2, rng.random());
+        if cache.inject(&generator.sample(FAULT)) == 0 {
+            return Outcome::Masked;
+        }
+        match cache.recover_all() {
+            Err(_) => Outcome::DetectedUnrecoverable,
+            Ok(()) => {
+                if truth.iter().all(|&(a, v)| cache.peek_word(a) == Some(v)) {
+                    Outcome::Corrected
+                } else {
+                    Outcome::SilentCorruption
+                }
             }
         }
     }
@@ -164,7 +172,7 @@ fn legacy_of(kind: SchemeKind, config: CppcConfig, fault: FaultModel) -> Experim
         SchemeKind::Cppc => Box::new(legacy_cppc(config, fault)),
         SchemeKind::Parity1d => Box::new(legacy_parity1d),
         SchemeKind::SecdedInterleaved => Box::new(legacy_secded),
-        SchemeKind::Parity2d => Box::new(legacy_parity2d),
+        SchemeKind::Parity2d => Box::new(legacy_parity2d(1)),
         other => panic!("{other} has no pre-refactor path"),
     }
 }
@@ -179,20 +187,42 @@ const PORTED: [SchemeKind; 4] = [
 const CPPC_CONFIGS: [&str; 4] = ["basic", "paper", "two-pairs", "eight-pairs"];
 const FAULTS: [&str; 5] = ["single", "2xvert", "8xhoriz", "4x4", "8x8"];
 
-/// Every `(scheme, config, fault)` pinned against its frozen
-/// reference: the four ported schemes at the paper configuration and
-/// [`FAULT`], plus CPPC under every configuration x fault model the
+/// Every case pinned against its frozen reference, as `(label, legacy,
+/// ported)`: the four ported schemes at the paper configuration and
+/// [`FAULT`], CPPC under every configuration x fault model the
 /// campaign front ends accept (the grid the retired `inject` campaign
-/// covered).
-fn pinned_cases() -> Vec<(SchemeKind, &'static str, &'static str)> {
-    let mut cases: Vec<_> = PORTED.iter().map(|&kind| (kind, "paper", "4x4")).collect();
+/// covered), and 8-row 2D parity — which no `SchemeKind` builds — run
+/// through `coverage_trial` directly, as the coverage matrix runs it.
+fn pinned_cases() -> Vec<(String, Experiment, Experiment)> {
+    let mut grid: Vec<_> = PORTED.iter().map(|&kind| (kind, "paper", "4x4")).collect();
     for config in CPPC_CONFIGS {
         for fault in FAULTS {
             if (config, fault) != ("paper", "4x4") {
-                cases.push((SchemeKind::Cppc, config, fault));
+                grid.push((SchemeKind::Cppc, config, fault));
             }
         }
     }
+    let mut cases: Vec<(String, Experiment, Experiment)> = grid
+        .into_iter()
+        .map(|(kind, config_name, fault_name)| {
+            let config = parse_config(config_name).unwrap();
+            let fault = parse_fault(fault_name).unwrap();
+            (
+                format!("{kind}_{config_name}_{fault_name}"),
+                legacy_of(kind, config, fault),
+                Box::new(scheme_experiment(kind, config, fault)) as Experiment,
+            )
+        })
+        .collect();
+    cases.push((
+        "parity2d_8rows_4x4".into(),
+        Box::new(legacy_parity2d(8)),
+        Box::new(|rng: &mut StdRng, trial| {
+            let geo = inject_geometry();
+            let mut cache = TwoDimParityCache::new(geo, 8, ReplacementPolicy::Lru);
+            coverage_trial(&mut cache, geo, FAULT, rng, trial)
+        }),
+    ));
     cases
 }
 
@@ -232,19 +262,12 @@ where
 #[test]
 fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
     assert_eq!(parse_fault("4x4").unwrap(), FAULT);
-    for (kind, config_name, fault_name) in pinned_cases() {
-        let config = parse_config(config_name).unwrap();
-        let fault = parse_fault(fault_name).unwrap();
-        let legacy = legacy_of(kind, config, fault);
-        let case = format!("{kind}_{config_name}_{fault_name}");
+    for (case, legacy, ported) in pinned_cases() {
         for threads in [1usize, 2, 8] {
             let (legacy_tally, legacy_bytes) =
                 run_checkpointed(&format!("legacy_{case}"), threads, &*legacy);
-            let (scheme_tally, scheme_bytes) = run_checkpointed(
-                &format!("scheme_{case}"),
-                threads,
-                scheme_experiment(kind, config, fault),
-            );
+            let (scheme_tally, scheme_bytes) =
+                run_checkpointed(&format!("scheme_{case}"), threads, &*ported);
             assert_eq!(
                 scheme_tally, legacy_tally,
                 "{case} tally diverged at {threads} threads"
@@ -257,10 +280,44 @@ fn ported_schemes_match_legacy_tallies_and_checkpoint_bytes() {
     }
 }
 
+/// Exact tallies `(masked, corrected, due, sdc)` of the two zoo
+/// schemes that have no frozen closure, recorded from the wrapper-struct
+/// implementation before the trait moved onto the caches. Both strike
+/// through the default (logical-row) `inject_model`, so these pin that
+/// RNG path for every fault model the front ends accept.
+const ZOO_GOLDEN: [(SchemeKind, &str, [u64; 4]); 10] = [
+    (SchemeKind::SilentWriteEcc, "single", [0, 96, 0, 0]),
+    (SchemeKind::SilentWriteEcc, "2xvert", [0, 96, 0, 0]),
+    (SchemeKind::SilentWriteEcc, "8xhoriz", [0, 0, 75, 21]),
+    (SchemeKind::SilentWriteEcc, "4x4", [0, 0, 55, 41]),
+    (SchemeKind::SilentWriteEcc, "8x8", [0, 0, 75, 21]),
+    (SchemeKind::HarpOdecc, "single", [0, 96, 0, 0]),
+    (SchemeKind::HarpOdecc, "2xvert", [0, 96, 0, 0]),
+    (SchemeKind::HarpOdecc, "8xhoriz", [0, 75, 0, 21]),
+    (SchemeKind::HarpOdecc, "4x4", [0, 55, 0, 41]),
+    (SchemeKind::HarpOdecc, "8x8", [0, 75, 0, 21]),
+];
+
 #[test]
 fn tallies_are_thread_invariant_for_every_scheme() {
-    // The zoo additions have no legacy path; pin their determinism the
-    // same way the engine guarantees it for the ported four.
+    for (kind, fault_name, [masked, corrected, due, sdc]) in ZOO_GOLDEN {
+        let fault = parse_fault(fault_name).unwrap();
+        let golden = OutcomeTally {
+            masked,
+            corrected,
+            due,
+            sdc,
+        };
+        for threads in [1usize, 2, 8] {
+            let t: OutcomeTally = run(
+                &cfg(threads),
+                scheme_experiment(kind, CppcConfig::paper(), fault),
+            )
+            .result;
+            assert_eq!(t, golden, "{kind} {fault_name} at {threads} threads");
+        }
+    }
+    // Every scheme's determinism, the way the engine guarantees it.
     for kind in SchemeKind::ALL {
         let base: OutcomeTally =
             run(&cfg(1), scheme_experiment(kind, CppcConfig::paper(), FAULT)).result;
